@@ -12,7 +12,6 @@ from .numerics import (
     LogFactorialTable,
     WignerIndex,
     log_factorial,
-    rotation_unitary_column,
     wigner_d_column_stable,
     wigner_d_direct,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "phase_profile",
     "protocol_brute_force",
     "resource_coeffs",
-    "rotation_unitary_column",
     "sector_unitary",
     "sector_unitary_column",
     "split_total",

@@ -96,7 +96,7 @@ def _add_grid_options(sub) -> None:
     sub.add_argument("--m-range", default=None,
                      help="m axis as lo:hi[:step] (default 0 to total/2, step 1)")
     sub.add_argument("--workers", type=int, default=None,
-                     help="process-pool size (default: cpu count)")
+                     help="accepted for older command lines; has no effect")
 
 
 def _add_output_options(sub, csv_default=None, pgm_default=None) -> None:
@@ -217,8 +217,8 @@ def _build_target(args):
             _fail("--k must be non-negative")
         cutoff = args.k if args.cutoff is None else args.cutoff
         return fock_coeffs(args.k, cutoff)
-    if args.alpha < 0:
-        _fail("--alpha must be non-negative")
+    if not math.isfinite(args.alpha) or args.alpha < 0:
+        _fail("--alpha must be finite and non-negative")
     builder = cat_coeffs if args.target == "cat" else coherent_coeffs
     cutoff = args.cutoff
     if cutoff is None:
@@ -267,6 +267,8 @@ def _m_axis(args) -> np.ndarray:
         step = float(parts[2]) if len(parts) == 3 else 1.0
     except ValueError:
         _fail(f"--m-range has a non-numeric part: {args.m_range!r}")
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        _fail(f"--m-range must be finite: {args.m_range!r}")
     if step <= 0:
         _fail("--m-range step must be positive")
     if hi < lo:
@@ -304,12 +306,15 @@ def _cmd_fidelity(args) -> int:
     return 0
 
 
-def _require_total(args) -> int:
+def _grid_inputs(args) -> tuple[int, np.ndarray, np.ndarray]:
+    """Total, beta axis and m axis of a grid command."""
     if args.total is None:
         _fail("--total is required")
     if args.total < 0:
         _fail("--total must be non-negative")
-    return args.total
+    if args.workers is not None and args.workers < 1:
+        _fail("--workers must be at least 1")
+    return args.total, _beta_axis(args.beta_steps), _m_axis(args)
 
 
 def _grid_summary(grid) -> str:
@@ -324,9 +329,7 @@ def _grid_summary(grid) -> str:
 
 def _cmd_sweep(args) -> int:
     target = _build_target(args)
-    total = _require_total(args)
-    grid = fidelity_sweep(target, total, _beta_axis(args.beta_steps), _m_axis(args),
-                          workers=args.workers)
+    grid = fidelity_sweep(target, *_grid_inputs(args))
     csv_path = _out_path(args, args.csv)
     pgm_path = _out_path(args, args.pgm)
     atomic_write_bytes(csv_path, grid_to_csv_bytes(grid))
@@ -338,9 +341,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_phase_map(args) -> int:
-    total = _require_total(args)
-    grid = phase_argmax_map(total, _beta_axis(args.beta_steps), _m_axis(args),
-                            grid_size=args.phi_grid, workers=args.workers)
+    grid = phase_argmax_map(*_grid_inputs(args), grid_size=args.phi_grid)
     csv_path = _out_path(args, args.csv)
     pgm_path = _out_path(args, args.pgm)
     atomic_write_bytes(csv_path, grid_to_csv_bytes(grid))

@@ -193,18 +193,26 @@ def _offdiagonal(two_j: int) -> np.ndarray:
     return 0.5 * np.sqrt((two_j - r) * (r + 1.0))
 
 
-def rotation_unitary_column(two_j: int, col: int, beta: float) -> np.ndarray:
-    """Column `col` of exp(i*beta*G) for the tridiagonal generator G.
+def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of the tridiagonal generator G of spin j.
 
     G is the real symmetric matrix with zero diagonal and the
-    _offdiagonal couplings; the column is assembled from its
-    eigendecomposition.
+    _offdiagonal couplings.  Every rotation of the sector reuses it.
     """
-    dim = two_j + 1
-    if dim == 1:
-        return np.ones(1, dtype=complex)
-    w, v = eigh_tridiagonal(np.zeros(dim), _offdiagonal(two_j))
-    return (v * np.exp(1j * beta * w)) @ v[col]
+    return eigh_tridiagonal(np.zeros(two_j + 1), _offdiagonal(two_j))
+
+
+def _rotated_column(factor: tuple[np.ndarray, np.ndarray], col: int, beta: float) -> np.ndarray:
+    """Real column `col` of D(beta) from the generator's factorization."""
+    w, v = factor
+    dim = len(w)
+    if beta == 0.0:
+        out = np.zeros(dim)
+        out[col] = 1.0
+        return out
+    ucol = (v * np.exp(1j * beta * w)) @ v[col]
+    phase = _I_POW[(np.arange(dim) - col) % 4]
+    return (phase * ucol).real
 
 
 def wigner_d_column_stable(j, m_col, beta: float) -> np.ndarray:
@@ -219,12 +227,4 @@ def wigner_d_column_stable(j, m_col, beta: float) -> np.ndarray:
     two_m = _twice(m_col, "m_col")
     if two_j < 0 or abs(two_m) > two_j or (two_j - two_m) % 2:
         raise ValueError(f"invalid column index j={j}, m_col={m_col}")
-    dim = two_j + 1
-    m_idx = (two_m + two_j) // 2
-    if beta == 0.0:
-        out = np.zeros(dim)
-        out[m_idx] = 1.0
-        return out
-    ucol = rotation_unitary_column(two_j, m_idx, beta)
-    phase = _I_POW[(np.arange(dim) - m_idx) % 4]
-    return (phase * ucol).real
+    return _rotated_column(_factor(two_j), (two_m + two_j) // 2, beta)

@@ -15,7 +15,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import expm
 
 from .protocol import DEFINED_MIN, OutputState, UndefinedOutcomeError
 from .states import ResourceParams, TargetCoeffs, resource_coeffs
@@ -53,21 +53,14 @@ class SectorHamiltonian:
 
 
 def sector_unitary(total: int, beta: float) -> np.ndarray:
-    """Full sector matrix exp(i beta H) via eigendecomposition of H."""
-    ham = SectorHamiltonian.build(total)
-    if ham.dimension == 1:
-        return np.ones((1, 1), dtype=complex)
-    w, v = eigh_tridiagonal(np.zeros(ham.dimension), ham.offdiag)
-    return (v * np.exp(1j * beta * w)) @ v.T
+    """Full sector matrix exp(i beta H) by Pade exponentiation of the dense H."""
+    off = SectorHamiltonian.build(total).offdiag
+    return expm(1j * beta * (np.diag(off, 1) + np.diag(off, -1)))
 
 
 def sector_unitary_column(params: ResourceParams) -> np.ndarray:
     """Column of exp(i beta H) selected by the input photon pair."""
-    ham = SectorHamiltonian.build(params.total)
-    if ham.dimension == 1:
-        return np.ones(1, dtype=complex)
-    w, v = eigh_tridiagonal(np.zeros(ham.dimension), ham.offdiag)
-    return (v * np.exp(1j * params.beta * w)) @ v[params.n_in]
+    return sector_unitary(params.total, params.beta)[:, params.n_in]
 
 
 @dataclass(frozen=True)

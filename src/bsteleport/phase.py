@@ -12,16 +12,13 @@ coefficients, and sampling it on a uniform grid is an inverse DFT.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import FidelityGrid, map_cells, split_total
+from .numerics import _I_POW
+from .protocol import FidelityGrid, _grid
 from .states import ResourceCoeffs, ResourceParams, resource_coeffs
-
-# exact unit phases i^k for k = 0..3
-_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 DEFAULT_PHASE_GRID = 4096
 MIN_PHASE_GRID = 16
@@ -56,7 +53,11 @@ def joint_phase_prob(resource: ResourceCoeffs, phi_minus: float) -> float:
 
 def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     # k-th inverse-DFT entry is (1/K) sum_n e^{2pi i n k / K} c_n
-    z = grid_size * np.fft.ifft(_twisted(coeffs), n=grid_size)
+    twisted = _twisted(coeffs)
+    if len(twisted) > grid_size:
+        # the kernel has period K in n, so coefficients beyond K fold onto n mod K
+        twisted = np.pad(twisted, (0, -len(twisted) % grid_size)).reshape(-1, grid_size).sum(axis=0)
+    z = grid_size * np.fft.ifft(twisted, n=grid_size)
     return z.real**2 + z.imag**2
 
 
@@ -85,52 +86,17 @@ def phase_argmax(resource: ResourceCoeffs, grid_size: int = DEFAULT_PHASE_GRID) 
     return 2.0 * np.pi * idx / grid_size, v_max
 
 
-def _argmax_cell(task) -> float:
-    n_in, m_in, beta, grid_size = task
-    res = resource_coeffs(ResourceParams(n_in, m_in, beta))
-    return phase_argmax(res, grid_size)[0]
-
-
 def phase_argmax_map(
     total: int,
     beta_axis,
     m_axis,
     grid_size: int = DEFAULT_PHASE_GRID,
-    workers: int | None = None,
 ) -> FidelityGrid:
     """Most likely phase difference over a (beta, m) grid at fixed total.
 
     Cells whose m is incompatible with the total are filled with NaN, as
     in the fidelity sweep.
     """
-    beta_axis = np.asarray(beta_axis, dtype=float)
-    m_axis = np.asarray(m_axis, dtype=float)
-    if len(beta_axis) == 0 or len(m_axis) == 0:
-        raise ValueError("axes must be non-empty")
-    if np.any(beta_axis < 0.0) or np.any(beta_axis > np.pi):
-        raise ValueError("beta axis must lie in [0, pi]")
     if grid_size < MIN_PHASE_GRID:
         raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
-
-    splits = [split_total(total, m) for m in m_axis]
-    for m, split in zip(m_axis, splits):
-        if split is None:
-            warnings.warn(f"m={m:g} incompatible with total={total}; row marked invalid")
-
-    tasks = []
-    for split in splits:
-        if split is None:
-            continue
-        n_in, m_in = split
-        for beta in beta_axis:
-            tasks.append((n_in, m_in, float(beta), grid_size))
-    results = map_cells(_argmax_cell, tasks, workers)
-
-    values = np.full((len(m_axis), len(beta_axis)), np.nan)
-    it = iter(results)
-    for i, split in enumerate(splits):
-        if split is None:
-            continue
-        for k in range(len(beta_axis)):
-            values[i, k] = next(it)
-    return FidelityGrid(beta_axis, m_axis, values, total, "phase-argmax")
+    return _grid(total, beta_axis, m_axis, lambda res: phase_argmax(res, grid_size)[0], "phase-argmax")

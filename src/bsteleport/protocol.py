@@ -11,14 +11,14 @@ coefficients.
 
 from __future__ import annotations
 
-import os
+import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, resource_coeffs
+from .numerics import _factor
+from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 
 # outcomes with probability at or below this are treated as unobservable
 DEFINED_MIN = 1e-15
@@ -188,6 +188,8 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
     Returns None when m is not half of an integer of the right parity or
     lies outside the sector.
     """
+    if not math.isfinite(m):
+        return None
     two_m = round(2.0 * m)
     if abs(2.0 * m - two_m) > 1e-9:
         return None
@@ -199,69 +201,40 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
     return n_in, total - n_in
 
 
-def _fidelity_cell(task) -> float:
-    target, n_in, m_in, beta = task
-    res = resource_coeffs(ResourceParams(n_in, m_in, beta))
-    return average_fidelity(target, res)
+def _grid(total: int, beta_axis, m_axis, cell, label: str) -> FidelityGrid:
+    """Evaluate cell(resource) at every (beta, m) of a grid at fixed total.
 
-
-def map_cells(func, tasks, workers: int | None):
-    """Ordered map over independent cells, optionally in a process pool.
-
-    Results are assembled in task order, so output is identical for every
-    pool size, including the serial path.
-    """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if workers == 1 or len(tasks) <= 1:
-        return [func(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(func, tasks, chunksize=chunk))
-
-
-def fidelity_sweep(
-    target: TargetCoeffs,
-    total: int,
-    beta_axis,
-    m_axis,
-    workers: int | None = None,
-) -> FidelityGrid:
-    """Average fidelity over a (beta, m) grid at fixed total photon number.
-
-    Grid cells whose m is incompatible with the total are reported with a
-    warning and filled with NaN.
+    The sector generator is factored once and every cell's resource is
+    rotated from that factorization.  Rows whose m is incompatible with
+    the total are reported with a warning and filled with NaN.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
     if len(beta_axis) == 0 or len(m_axis) == 0:
         raise ValueError("axes must be non-empty")
+    if not (np.all(np.isfinite(beta_axis)) and np.all(np.isfinite(m_axis))):
+        raise ValueError("axes must be finite")
     if np.any(beta_axis < 0.0) or np.any(beta_axis > np.pi):
         raise ValueError("beta axis must lie in [0, pi]")
     if total < 0:
         raise ValueError("total must be non-negative")
 
-    splits = [split_total(total, m) for m in m_axis]
-    for m, split in zip(m_axis, splits):
+    factor = _factor(total)
+    values = np.full((len(m_axis), len(beta_axis)), np.nan)
+    for i, m in enumerate(m_axis):
+        split = split_total(total, m)
         if split is None:
             warnings.warn(f"m={m:g} incompatible with total={total}; row marked invalid")
-
-    tasks = []
-    for split in splits:
-        if split is None:
             continue
-        n_in, m_in = split
-        for beta in beta_axis:
-            tasks.append((target, n_in, m_in, float(beta)))
-    results = map_cells(_fidelity_cell, tasks, workers)
+        for k, beta in enumerate(beta_axis):
+            values[i, k] = cell(_resource(factor, ResourceParams(*split, float(beta))))
+    return FidelityGrid(beta_axis, m_axis, values, total, label)
 
-    values = np.full((len(m_axis), len(beta_axis)), np.nan)
-    it = iter(results)
-    for i, split in enumerate(splits):
-        if split is None:
-            continue
-        for k in range(len(beta_axis)):
-            values[i, k] = next(it)
-    return FidelityGrid(beta_axis, m_axis, values, total, target.label)
+
+def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> FidelityGrid:
+    """Average fidelity over a (beta, m) grid at fixed total photon number.
+
+    Grid cells whose m is incompatible with the total are reported with a
+    warning and filled with NaN.
+    """
+    return _grid(total, beta_axis, m_axis, lambda res: average_fidelity(target, res), target.label)

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _shared_table, wigner_d_column_stable
-
-# exact unit phases i^k for k = 0..3
-_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
+from .numerics import _I_POW, _factor, _rotated_column, _shared_table
 
 DEFAULT_TAIL_TOL = 1e-12
 _MAX_AUTO_CUTOFF = 4096
@@ -37,6 +35,8 @@ class ResourceParams:
     beta: float
 
     def __post_init__(self):
+        if not all(isinstance(c, numbers.Integral) for c in (self.n_in, self.m_in)):
+            raise ValueError("photon counts must be integers")
         if self.n_in < 0 or self.m_in < 0:
             raise ValueError("photon counts must be non-negative")
         if not 0.0 <= self.beta <= math.pi:
@@ -80,31 +80,52 @@ class TargetCoeffs:
         return len(self.coeffs) - 1
 
 
+def _resource(factor: tuple[np.ndarray, np.ndarray], params: ResourceParams) -> ResourceCoeffs:
+    """Resource coefficients from the factorization of the sector generator."""
+    column = _rotated_column(factor, params.n_in, params.beta)
+    n = np.arange(params.total + 1)
+    phase = _I_POW[(params.n_in - n) % 4]  # e^{-i(pi/2)(n - n_in)}
+    return ResourceCoeffs(params.total, phase * column)
+
+
 def resource_coeffs(params: ResourceParams) -> ResourceCoeffs:
     """Entangled-resource coefficient vector for the given inputs.
 
     The magnitude profile is the stable rotation column at j = total/2;
     the quarter-turn phases are applied exactly (no trig roundoff).
     """
-    column = wigner_d_column_stable(params.j, params.m, params.beta)
-    n = np.arange(params.total + 1)
-    phase = _I_POW[(params.n_in - n) % 4]  # e^{-i(pi/2)(n - n_in)}
-    return ResourceCoeffs(params.total, phase * column)
+    return _resource(_factor(params.total), params)
 
 
 def _log_factorials(n_max: int) -> np.ndarray:
     return _shared_table(n_max).values[: n_max + 1]
 
 
-def _truncated(raw: np.ndarray, tail_tol: float, label: str) -> TargetCoeffs:
-    """Renormalize a truncated coefficient vector, checking the dropped tail."""
-    kept = float(np.sum(np.abs(raw) ** 2))
-    tail = 1.0 - kept
-    if tail > tail_tol:
+def _tails(kind: str, a: float, n_max: int) -> np.ndarray:
+    """Weight beyond each cutoff 0..n_max of the cat or coherent state |a|.
+
+    Entry c depends only on the weights up to c, so the builders and
+    suggest_cutoff read identical tails for the same cutoff.
+    """
+    lam = a * a
+    if lam == 0.0:  # |a| below ~1e-162: no weight beyond the vacuum in double precision
+        return np.zeros(n_max + 1)
+    m = np.arange(n_max + 1)
+    weights = np.exp(-lam + m * math.log(lam) - _log_factorials(n_max))
+    if kind == "cat":
+        weights = weights * (2.0 / (1.0 + math.exp(-2.0 * lam)))
+        weights[1::2] = 0.0
+    return 1.0 - np.cumsum(weights)
+
+
+def _truncated(raw: np.ndarray, tail: float, tail_tol: float, label: str) -> TargetCoeffs:
+    """Renormalize a truncated coefficient vector after checking its dropped tail."""
+    if not tail <= tail_tol:  # a NaN tail is refused too
         raise TruncationError(
             f"{label}: truncated tail {tail:.3e} exceeds tolerance {tail_tol:.1e}; "
             "increase the cutoff"
         )
+    kept = float(np.sum(np.abs(raw) ** 2))
     return TargetCoeffs(raw / math.sqrt(kept), label)
 
 
@@ -129,7 +150,7 @@ def cat_coeffs(alpha, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Target
     norm = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * a * a))
     raw = (2.0 / norm) * np.exp(log_mag + 1j * arg * m)
     raw[1::2] = 0.0
-    return _truncated(raw, tail_tol, label)
+    return _truncated(raw, _tails("cat", a, cutoff)[-1], tail_tol, label)
 
 
 def coherent_coeffs(alpha, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> TargetCoeffs:
@@ -146,7 +167,7 @@ def coherent_coeffs(alpha, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> T
     m = np.arange(cutoff + 1)
     log_mag = -0.5 * a * a + m * math.log(a) - 0.5 * _log_factorials(cutoff)
     raw = np.exp(log_mag + 1j * cmath.phase(alpha) * m)
-    return _truncated(raw, tail_tol, label)
+    return _truncated(raw, _tails("coherent", a, cutoff)[-1], tail_tol, label)
 
 
 def fock_coeffs(k: int, cutoff: int) -> TargetCoeffs:
@@ -164,22 +185,15 @@ def suggest_cutoff(alpha, kind: str = "cat", tol: float = DEFAULT_TAIL_TOL) -> i
     """Smallest cutoff whose truncation tail stays below tol.
 
     kind is "cat" or "coherent"; the tail is evaluated from the analytic
-    photon-number weights of the requested state.
+    photon-number weights of the requested state, exactly as the builder
+    checks it, so the suggested cutoff is always accepted.
     """
     if kind not in ("cat", "coherent"):
         raise ValueError(f"unknown state kind {kind!r}")
     a = abs(complex(alpha))
     if a == 0:
         return 0
-    lam = a * a
-    m = np.arange(_MAX_AUTO_CUTOFF + 1)
-    log_w = -lam + m * math.log(lam) - _log_factorials(_MAX_AUTO_CUTOFF)
-    weights = np.exp(log_w)
-    if kind == "cat":
-        weights = weights * (2.0 / (1.0 + math.exp(-2.0 * lam)))
-        weights[1::2] = 0.0
-    tail = 1.0 - np.cumsum(weights)
-    hits = np.nonzero(tail <= tol)[0]
+    hits = np.nonzero(_tails(kind, a, _MAX_AUTO_CUTOFF) <= tol)[0]
     if len(hits) == 0:
         raise TruncationError(f"no cutoff up to {_MAX_AUTO_CUTOFF} reaches tail {tol:.1e}")
     return int(hits[0])

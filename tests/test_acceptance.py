@@ -18,6 +18,7 @@ from bsteleport.oracle import protocol_brute_force, verify_resource
 from bsteleport.phase import phase_argmax_map
 from bsteleport.protocol import (
     DEFINED_MIN,
+    FidelityGrid,
     average_fidelity,
     classical_baseline,
     fidelity_given_q,
@@ -54,17 +55,19 @@ def fig_target():
 
 @pytest.fixture(scope="module")
 def fig2_runs(fig_target):
+    """The full grid, the same grid assembled from one call per m row, and the full grid's time."""
     start = time.perf_counter()
-    first = fidelity_sweep(fig_target, FIG_TOTAL, BETA_AXIS, M_AXIS, workers=2)
+    whole = fidelity_sweep(fig_target, FIG_TOTAL, BETA_AXIS, M_AXIS)
     elapsed = time.perf_counter() - start
-    second = fidelity_sweep(fig_target, FIG_TOTAL, BETA_AXIS, M_AXIS, workers=4)
-    return first, second, elapsed
+    rows = [fidelity_sweep(fig_target, FIG_TOTAL, BETA_AXIS, [m]).values for m in M_AXIS]
+    by_row = FidelityGrid(BETA_AXIS, M_AXIS, np.vstack(rows), FIG_TOTAL, whole.label)
+    return whole, by_row, elapsed
 
 
 @pytest.fixture(scope="module")
 def fig3_run():
     start = time.perf_counter()
-    grid = phase_argmax_map(FIG_TOTAL, BETA_AXIS, M_AXIS, workers=4)
+    grid = phase_argmax_map(FIG_TOTAL, BETA_AXIS, M_AXIS)
     return grid, time.perf_counter() - start
 
 
@@ -277,9 +280,9 @@ def test_criterion_8_large_total_convergence(fig_target):
 
 
 def test_criterion_9_determinism(fig2_runs):
-    with _criterion(9, "grid bytes identical across worker-pool sizes") as detail:
+    with _criterion(9, "grid bytes identical however the rows are split into calls") as detail:
         first, second, _ = fig2_runs
         bytes_first = grid_to_csv_bytes(first)
         bytes_second = grid_to_csv_bytes(second)
         assert bytes_first == bytes_second
-        detail["note"] = f"{len(bytes_first)} bytes, pools of 2 and 4"
+        detail["note"] = f"{len(bytes_first)} bytes, one call and {len(M_AXIS)} row calls"

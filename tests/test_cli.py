@@ -47,6 +47,17 @@ class TestInvocations:
         assert main(["resource", "--total", "4", "--m", "0.5"]) == 1
         assert "incompatible" in capsys.readouterr().err
 
+    def test_infinite_m(self, capsys):
+        assert main(["resource", "--total", "4", "--m", "inf"]) == 1
+        assert "m=inf is incompatible" in capsys.readouterr().err
+
+    def test_nan_alpha(self, capsys):
+        assert main(["fidelity", "--target", "coherent", "--alpha", "nan", "--cutoff", "10",
+                     "--total", "2", "--m", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--alpha must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestResourceCommand:
     def test_stdout_csv(self, capsys):
@@ -121,6 +132,12 @@ class TestFidelityCommand:
         assert float(fields["classical_baseline"]) == classical_baseline(target)
 
 
+    def test_suggested_cutoff_at_the_tail_boundary(self, capsys):
+        assert main(["fidelity", "--target", "cat", "--alpha", "3.8544326731278717",
+                     "--total", "4", "--m", "0"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestSweepCommand:
     def test_requires_total(self, capsys):
         assert main(["sweep", "--target", "fock", "--k", "0"]) == 1
@@ -175,6 +192,16 @@ class TestSweepCommand:
         assert main(base + ["--m-range", "0:2:0"]) == 1
         assert main(base + ["--m-range", "a:b"]) == 1
         assert main(base + ["--m-range", "1"]) == 1
+
+    def test_infinite_m_range(self, capsys, tmp_path):
+        assert main(["sweep", "--target", "fock", "--k", "0", "--total", "2",
+                     "--m-range", "0:inf", "--out-dir", str(tmp_path)]) == 1
+        assert "--m-range must be finite" in capsys.readouterr().err
+
+    def test_workers_below_one(self, capsys, tmp_path):
+        assert main(["sweep", "--target", "fock", "--k", "0", "--total", "2",
+                     "--workers", "0", "--out-dir", str(tmp_path)]) == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
 
 
 class TestPhaseMapCommand:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -121,6 +122,15 @@ class TestAtomicWrite:
         path = tmp_path / "out.csv"
         atomic_write_bytes(str(path), b"data")
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "out.csv"
+        old = os.umask(0o022)
+        try:
+            atomic_write_bytes(str(path), b"data")
+        finally:
+            os.umask(old)
+        assert stat.filemode(path.stat().st_mode) == "-rw-r--r--"
 
     def test_failed_replace_cleans_up(self, tmp_path):
         target = tmp_path / "adir"

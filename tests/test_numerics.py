@@ -11,10 +11,11 @@ from bsteleport.numerics import (
     LogFactorialTable,
     WignerIndex,
     log_factorial,
-    rotation_unitary_column,
     wigner_d_column_stable,
     wigner_d_direct,
 )
+from bsteleport.oracle import sector_unitary_column
+from bsteleport.states import ResourceParams
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 
@@ -240,7 +241,7 @@ class TestStableRoute:
         # the complex rotation column equals the real column twisted by
         # exact quarter-turn phases
         for two_j, col_idx, beta in ((2, 1, 0.7), (9, 3, 2.0), (20, 0, math.pi / 2)):
-            ucol = rotation_unitary_column(two_j, col_idx, beta)
+            ucol = sector_unitary_column(ResourceParams(col_idx, two_j - col_idx, beta))
             j = two_j / 2
             m_col = col_idx - j
             dcol = wigner_d_column_stable(j, m_col, beta)
@@ -249,7 +250,7 @@ class TestStableRoute:
             assert np.max(np.abs(ucol - phase * dcol)) < 1e-13
 
     def test_unitary_column_norm(self):
-        ucol = rotation_unitary_column(14, 5, 1.1)
+        ucol = sector_unitary_column(ResourceParams(5, 9, 1.1))
         assert abs(np.vdot(ucol, ucol).real - 1.0) < 1e-13
 
     def test_beta_out_of_range_raises(self):

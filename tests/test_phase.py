@@ -22,12 +22,13 @@ def _balanced(total: int, beta: float) -> ResourceCoeffs:
 
 class TestProfile:
     def test_grid_matches_pointwise_evaluation(self):
-        params = ResourceParams(3, 2, 1.1)
-        profile = phase_profile(params, grid_size=64)
-        resource = resource_coeffs(params)
-        for k in range(0, 64, 7):
-            direct = joint_phase_prob(resource, float(profile.phi_axis[k]))
-            assert profile.values[k] == pytest.approx(direct, abs=1e-10)
+        # the second case has more coefficients than grid points, so they fold
+        for params, size in ((ResourceParams(3, 2, 1.1), 64), (ResourceParams(60, 40, 1.1), 16)):
+            profile = phase_profile(params, grid_size=size)
+            resource = resource_coeffs(params)
+            for k in range(size):
+                direct = joint_phase_prob(resource, float(profile.phi_axis[k]))
+                assert profile.values[k] == pytest.approx(direct, abs=1e-10)
 
     def test_axis_and_metadata(self):
         profile = phase_profile(ResourceParams(2, 2, 0.7), grid_size=32)
@@ -102,6 +103,12 @@ class TestArgmax:
                 values.append(phase_argmax(_balanced(total, beta))[1])
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_grid_shorter_than_resource(self):
+        res = resource_coeffs(ResourceParams(60, 40, 1.1))
+        direct = [joint_phase_prob(res, 2 * math.pi * k / 16) for k in range(16)]
+        assert int(np.argmax(direct)) == 4
+        assert phase_argmax(res, grid_size=16)[0] == math.pi / 2
+
     def test_peak_location_is_grid_resolved(self):
         res = _balanced(10, math.pi / 2)
         coarse = phase_argmax(res, grid_size=256)[0]
@@ -118,7 +125,7 @@ class TestArgmaxMap:
     def test_cells_match_single_points(self):
         beta_axis = [0.6, math.pi / 2]
         m_axis = [0.0, 2.0]
-        grid = phase_argmax_map(6, beta_axis, m_axis, grid_size=128, workers=1)
+        grid = phase_argmax_map(6, beta_axis, m_axis, grid_size=128)
         assert grid.label == "phase-argmax"
         assert grid.total == 6
         for i, m in enumerate(m_axis):
@@ -129,21 +136,21 @@ class TestArgmaxMap:
 
     def test_invalid_rows_warn_and_fill_nan(self):
         with pytest.warns(UserWarning, match="incompatible"):
-            grid = phase_argmax_map(5, [0.5, 1.0], [0.5, 1.0, 1.5], grid_size=64, workers=1)
+            grid = phase_argmax_map(5, [0.5, 1.0], [0.5, 1.0, 1.5], grid_size=64)
         assert np.all(np.isfinite(grid.values[0]))
         assert np.all(np.isnan(grid.values[1]))
         assert np.all(np.isfinite(grid.values[2]))
 
-    def test_worker_pools_agree_bitwise(self):
+    def test_row_calls_agree_bitwise(self):
         beta_axis = np.pi * np.arange(1, 5) / 5.0
-        serial = phase_argmax_map(4, beta_axis, [0.0, 1.0], grid_size=64, workers=1)
-        pooled = phase_argmax_map(4, beta_axis, [0.0, 1.0], grid_size=64, workers=2)
-        assert np.array_equal(serial.values, pooled.values)
+        whole = phase_argmax_map(4, beta_axis, [0.0, 1.0], grid_size=64)
+        rows = [phase_argmax_map(4, beta_axis, [m], grid_size=64).values for m in (0.0, 1.0)]
+        assert np.array_equal(whole.values, np.vstack(rows))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            phase_argmax_map(4, [], [0.0], workers=1)
+            phase_argmax_map(4, [], [0.0])
         with pytest.raises(ValueError):
-            phase_argmax_map(4, [0.5], [0.0], grid_size=4, workers=1)
+            phase_argmax_map(4, [0.5], [0.0], grid_size=4)
         with pytest.raises(ValueError):
-            phase_argmax_map(4, [4.0], [0.0], workers=1)
+            phase_argmax_map(4, [4.0], [0.0])

@@ -15,7 +15,6 @@ from bsteleport.protocol import (
     fidelity_given_q,
     fidelity_given_q_double_sum,
     fidelity_sweep,
-    map_cells,
     number_sum_prob,
     outcome_distribution,
     output_state,
@@ -280,33 +279,12 @@ class TestSplitTotal:
         assert split_total(4, 0.5 + 2e-9) is None
 
 
-class TestMapCells:
-    def test_preserves_order(self):
-        tasks = list(range(40))
-        assert map_cells(_square, tasks, workers=1) == [t * t for t in tasks]
-        assert map_cells(_square, tasks, workers=3) == [t * t for t in tasks]
-
-    def test_single_task_stays_serial(self):
-        assert map_cells(_square, [7], workers=8) == [49]
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError):
-            map_cells(_square, [1, 2], workers=0)
-
-    def test_default_worker_count(self):
-        assert map_cells(_square, [2, 3], workers=None) == [4, 9]
-
-
-def _square(x):
-    return x * x
-
-
 class TestFidelitySweep:
     def test_values_match_single_points(self):
         target = fock_coeffs(1, 2)
         beta_axis = [0.4, math.pi / 2, 2.2]
         m_axis = [0.0, 1.0, 2.0]
-        grid = fidelity_sweep(target, 4, beta_axis, m_axis, workers=1)
+        grid = fidelity_sweep(target, 4, beta_axis, m_axis)
         assert grid.values.shape == (3, 3)
         for i, m in enumerate(m_axis):
             n_in, m_in = split_total(4, m)
@@ -317,36 +295,42 @@ class TestFidelitySweep:
     def test_invalid_rows_warn_and_fill_nan(self):
         target = fock_coeffs(0, 1)
         with pytest.warns(UserWarning, match="incompatible"):
-            grid = fidelity_sweep(target, 4, [0.5, 1.0], [0.0, 0.5, 1.0], workers=1)
+            grid = fidelity_sweep(target, 4, [0.5, 1.0], [0.0, 0.5, 1.0])
         assert np.all(np.isnan(grid.values[1]))
         assert np.all(np.isfinite(grid.values[0]))
         assert np.all(np.isfinite(grid.values[2]))
 
-    def test_worker_pools_agree_bitwise(self):
+    def test_row_calls_agree_bitwise(self):
         target = cat_coeffs(1.0, 6, tail_tol=1e-4)
         beta_axis = np.pi * np.arange(1, 6) / 6.0
         m_axis = [0.0, 1.0, 0.25]
         with pytest.warns(UserWarning):
-            serial = fidelity_sweep(target, 6, beta_axis, m_axis, workers=1)
+            whole = fidelity_sweep(target, 6, beta_axis, m_axis)
         with pytest.warns(UserWarning):
-            pooled = fidelity_sweep(target, 6, beta_axis, m_axis, workers=2)
-        assert np.array_equal(serial.values, pooled.values, equal_nan=True)
+            rows = [fidelity_sweep(target, 6, beta_axis, [m]).values for m in m_axis]
+        assert np.array_equal(whole.values, np.vstack(rows), equal_nan=True)
+
+    def test_non_finite_axes_rejected(self):
+        target = fock_coeffs(0, 0)
+        for beta_axis, m_axis in (([math.nan], [0.0]), ([0.5], [math.inf]), ([0.5], [math.nan])):
+            with pytest.raises(ValueError, match="finite"):
+                fidelity_sweep(target, 2, beta_axis, m_axis)
 
     def test_grid_metadata(self):
         target = fock_coeffs(0, 0)
-        grid = fidelity_sweep(target, 2, [0.5], [1.0], workers=1)
+        grid = fidelity_sweep(target, 2, [0.5], [1.0])
         assert grid.total == 2
         assert grid.label == target.label
 
     def test_axis_validation(self):
         target = fock_coeffs(0, 0)
         with pytest.raises(ValueError):
-            fidelity_sweep(target, 2, [], [0.0], workers=1)
+            fidelity_sweep(target, 2, [], [0.0])
         with pytest.raises(ValueError):
-            fidelity_sweep(target, 2, [0.5], [], workers=1)
+            fidelity_sweep(target, 2, [0.5], [])
         with pytest.raises(ValueError):
-            fidelity_sweep(target, 2, [-0.5], [0.0], workers=1)
+            fidelity_sweep(target, 2, [-0.5], [0.0])
         with pytest.raises(ValueError):
-            fidelity_sweep(target, 2, [math.pi + 0.2], [0.0], workers=1)
+            fidelity_sweep(target, 2, [math.pi + 0.2], [0.0])
         with pytest.raises(ValueError):
-            fidelity_sweep(target, -1, [0.5], [0.0], workers=1)
+            fidelity_sweep(target, -1, [0.5], [0.0])

@@ -36,6 +36,10 @@ class TestResourceParams:
         with pytest.raises(ValueError):
             ResourceParams(0, -2, 1.0)
 
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            ResourceParams(2.0, 1.0, 1.0)
+
     def test_beta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ResourceParams(1, 1, -0.1)
@@ -191,13 +195,32 @@ class TestSuggestCutoff:
     def test_known_values(self):
         assert suggest_cutoff(0.0) == 0
         assert suggest_cutoff(1.0, "cat", 1e-4) == 6
-        assert 30 <= suggest_cutoff(3.0, "cat") <= 60
-        assert 30 <= suggest_cutoff(3.0, "coherent") <= 60
+        # the figure grids' targets
+        assert suggest_cutoff(3.0, "cat") == 36
+        assert suggest_cutoff(3.0, "coherent") == 37
 
     def test_result_satisfies_the_builder(self):
         for a, kind, builder in ((1.0, "cat", cat_coeffs), (2.0, "coherent", coherent_coeffs)):
             cutoff = suggest_cutoff(a, kind)
             builder(a, cutoff)  # must not raise
+
+    def test_suggestion_always_accepted(self):
+        # builder and suggestion once disagreed by rounding at the tail boundary
+        cat_coeffs(3.8544326731278717, suggest_cutoff(3.8544326731278717, "cat"))
+        rng = np.random.default_rng(7)
+        for a in rng.uniform(0.5, 4.0, size=2000):
+            for kind, builder in (("cat", cat_coeffs), ("coherent", coherent_coeffs)):
+                builder(a, suggest_cutoff(a, kind))  # must not raise
+
+    def test_amplitude_too_small_to_square(self):
+        assert suggest_cutoff(1e-170, "cat") == 0
+        assert cat_coeffs(1e-170, 3).coeffs[0] == 1.0
+        assert coherent_coeffs(1e-170, 0).coeffs[0] == 1.0
+
+    def test_non_finite_amplitude_refused(self):
+        for builder in (cat_coeffs, coherent_coeffs):
+            with pytest.raises(TruncationError):
+                builder(math.nan, 10)
 
     def test_minimality(self):
         for a, kind, builder in ((1.0, "cat", cat_coeffs), (2.0, "coherent", coherent_coeffs)):
