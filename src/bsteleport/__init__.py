@@ -8,13 +8,7 @@ resulting conditional and average fidelities, including the two standard
 grid products over the splitter angle and the input imbalance.
 """
 
-from .numerics import (
-    LogFactorialTable,
-    WignerIndex,
-    log_factorial,
-    wigner_d_column_stable,
-    wigner_d_direct,
-)
+from .numerics import wigner_d_column_stable, wigner_d_direct
 from .oracle import (
     ResourceCheck,
     SectorHamiltonian,
@@ -64,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFINED_MIN",
     "FidelityGrid",
-    "LogFactorialTable",
     "OutcomeDistribution",
     "OutputState",
     "PhaseProfile",
@@ -76,7 +69,6 @@ __all__ = [
     "TargetCoeffs",
     "TruncationError",
     "UndefinedOutcomeError",
-    "WignerIndex",
     "average_fidelity",
     "cat_coeffs",
     "classical_baseline",
@@ -86,7 +78,6 @@ __all__ = [
     "fidelity_sweep",
     "fock_coeffs",
     "joint_phase_prob",
-    "log_factorial",
     "number_sum_prob",
     "outcome_distribution",
     "output_state",

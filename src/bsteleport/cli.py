@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .gridio import (
+    _fmt,
     atomic_write_bytes,
     coeffs_to_csv_bytes,
     distribution_to_csv_bytes,
@@ -55,10 +56,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _fail(message: str) -> None:
@@ -242,8 +239,7 @@ def _resolve_pair(args) -> tuple[int, int]:
         if split is None:
             _fail(f"m={args.m:g} is incompatible with total={args.total}")
         return split
-    _fail("resource inputs required: --n-in/--m-in or --total/--m")
-    raise AssertionError("unreachable")
+    raise _UsageError("resource inputs required: --n-in/--m-in or --total/--m")
 
 
 def _beta_axis(steps: int) -> np.ndarray:
@@ -317,39 +313,33 @@ def _grid_inputs(args) -> tuple[int, np.ndarray, np.ndarray]:
     return args.total, _beta_axis(args.beta_steps), _m_axis(args)
 
 
-def _grid_summary(grid) -> str:
+def _write_grid(args, grid, scale: float) -> int:
+    """Write a grid command's CSV and PGM, then print their paths and the grid maximum."""
+    csv_path = _out_path(args, args.csv)
+    pgm_path = _out_path(args, args.pgm)
+    atomic_write_bytes(csv_path, grid_to_csv_bytes(grid))
+    atomic_write_bytes(pgm_path, grid_to_pgm_bytes(grid, scale=scale))
+    print(f"wrote {csv_path}")
+    print(f"wrote {pgm_path}")
     finite = np.isfinite(grid.values)
     if not finite.any():
-        return "no valid cells"
+        print("no valid cells")
+        return 0
     flat = np.where(finite, grid.values, -np.inf)
     i, k = np.unravel_index(int(np.argmax(flat)), flat.shape)
-    return (f"max={_fmt(grid.values[i, k])} at beta={_fmt(grid.beta_axis[k])} "
-            f"m={grid.m_axis[i]:g}")
+    print(f"max={_fmt(grid.values[i, k])} at beta={_fmt(grid.beta_axis[k])} "
+          f"m={grid.m_axis[i]:g}")
+    return 0
 
 
 def _cmd_sweep(args) -> int:
     target = _build_target(args)
-    grid = fidelity_sweep(target, *_grid_inputs(args))
-    csv_path = _out_path(args, args.csv)
-    pgm_path = _out_path(args, args.pgm)
-    atomic_write_bytes(csv_path, grid_to_csv_bytes(grid))
-    atomic_write_bytes(pgm_path, grid_to_pgm_bytes(grid, scale=1.0))
-    print(f"wrote {csv_path}")
-    print(f"wrote {pgm_path}")
-    print(_grid_summary(grid))
-    return 0
+    return _write_grid(args, fidelity_sweep(target, *_grid_inputs(args)), scale=1.0)
 
 
 def _cmd_phase_map(args) -> int:
     grid = phase_argmax_map(*_grid_inputs(args), grid_size=args.phi_grid)
-    csv_path = _out_path(args, args.csv)
-    pgm_path = _out_path(args, args.pgm)
-    atomic_write_bytes(csv_path, grid_to_csv_bytes(grid))
-    atomic_write_bytes(pgm_path, grid_to_pgm_bytes(grid, scale=math.pi / 2))
-    print(f"wrote {csv_path}")
-    print(f"wrote {pgm_path}")
-    print(_grid_summary(grid))
-    return 0
+    return _write_grid(args, grid, scale=math.pi / 2)
 
 
 def _cmd_oracle_check(args) -> int:

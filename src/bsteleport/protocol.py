@@ -68,39 +68,32 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _window(q: int, cutoff: int, total: int) -> tuple[int, int]:
-    """Inclusive n-range with both q - n <= cutoff and n <= total."""
-    return max(0, q - cutoff), min(q, total)
+def _outcome(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> tuple[float, float]:
+    """(p[q], f[q]) from outcome_distribution; beyond its support p is 0."""
+    if q < 0:
+        raise ValueError("q must be non-negative")
+    dist = outcome_distribution(target, resource)
+    if q > dist.q_max:
+        return 0.0, math.nan
+    return float(dist.p[q]), float(dist.f[q])
+
+
+def _observable(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> tuple[float, float]:
+    """(p[q], f[q]), refusing an outcome whose probability is at most DEFINED_MIN."""
+    p, f = _outcome(target, resource, q)
+    if p <= DEFINED_MIN:
+        raise UndefinedOutcomeError(f"outcome q={q} has probability {p:.3e}")
+    return p, f
 
 
 def number_sum_prob(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> float:
     """Probability of measuring total photon number q."""
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    n_lo, n_hi = _window(q, target.cutoff, resource.total)
-    if n_lo > n_hi:
-        return 0.0
-    w = _abs2(target.coeffs)
-    d2 = _abs2(resource.coeffs)
-    return float(np.dot(w[q - n_hi : q - n_lo + 1][::-1], d2[n_lo : n_hi + 1]))
-
-
-def _score(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> complex:
-    """Coherent sum sum_n |c_{q-n}|^2 d_n over the valid window."""
-    n_lo, n_hi = _window(q, target.cutoff, resource.total)
-    if n_lo > n_hi:
-        return 0.0 + 0.0j
-    w = _abs2(target.coeffs)
-    return complex(np.dot(w[q - n_hi : q - n_lo + 1][::-1], resource.coeffs[n_lo : n_hi + 1]))
+    return _outcome(target, resource, q)[0]
 
 
 def fidelity_given_q(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> float:
     """Teleportation fidelity conditioned on outcome q."""
-    p = number_sum_prob(target, resource, q)
-    if p <= DEFINED_MIN:
-        raise UndefinedOutcomeError(f"outcome q={q} has probability {p:.3e}")
-    s = _score(target, resource, q)
-    return (s.real * s.real + s.imag * s.imag) / p
+    return _observable(target, resource, q)[1]
 
 
 def fidelity_given_q_double_sum(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> complex:
@@ -109,10 +102,8 @@ def fidelity_given_q_double_sum(target: TargetCoeffs, resource: ResourceCoeffs, 
     Returned as complex so tests can confirm the imaginary part vanishes
     rather than having it silently discarded.
     """
-    p = number_sum_prob(target, resource, q)
-    if p <= DEFINED_MIN:
-        raise UndefinedOutcomeError(f"outcome q={q} has probability {p:.3e}")
-    n_lo, n_hi = _window(q, target.cutoff, resource.total)
+    p = _observable(target, resource, q)[0]
+    n_lo, n_hi = max(0, q - target.cutoff), min(q, resource.total)
     w = _abs2(target.coeffs)
     d = resource.coeffs
     acc = 0.0 + 0.0j
@@ -136,9 +127,7 @@ def output_state(
     cancellation at the interface.
     """
     del phi_minus
-    p = number_sum_prob(target, resource, q)
-    if p <= DEFINED_MIN:
-        raise UndefinedOutcomeError(f"outcome q={q} has probability {p:.3e}")
+    p = _observable(target, resource, q)[0]
     n_hi = min(q, resource.total)
     amp = np.zeros(n_hi + 1, dtype=complex)
     n_lo = max(0, q - target.cutoff)

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _I_POW, _factor, _rotated_column, _shared_table
+from .numerics import _I_POW, _factor, _log_factorials, _rotated_column
 
 DEFAULT_TAIL_TOL = 1e-12
 _MAX_AUTO_CUTOFF = 4096
+# longest weight range _tails evaluates: |alpha| up to about 2000
+_MAX_TAIL_RANGE = 1 << 22
 
 
 class TruncationError(ValueError):
@@ -97,30 +99,56 @@ def resource_coeffs(params: ResourceParams) -> ResourceCoeffs:
     return _resource(_factor(params.total), params)
 
 
-def _log_factorials(n_max: int) -> np.ndarray:
-    return _shared_table(n_max).values[: n_max + 1]
-
-
-def _tails(kind: str, a: float, n_max: int) -> np.ndarray:
+def _tails(kind: str, a: float) -> np.ndarray:
     """Weight beyond each cutoff 0..n_max of the cat or coherent state |a|.
 
-    Entry c depends only on the weights up to c, so the builders and
-    suggest_cutoff read identical tails for the same cutoff.
+    The range n_max = lam + 12 sqrt(lam) + 40 depends only on lam = a^2,
+    and the weight beyond it is below 1e-32 at every lam.  Each tail is
+    summed from the far end of the range, so a small tail carries only
+    relative rounding, and the builders and suggest_cutoff read identical
+    tails for the same cutoff.
     """
     lam = a * a
+    reach = lam + 12.0 * math.sqrt(lam) + 40.0
+    if not reach <= _MAX_TAIL_RANGE:  # NaN and infinite amplitudes too
+        raise TruncationError(
+            f"|alpha|={a:g} is not finite or needs over {_MAX_TAIL_RANGE} number states")
+    n_max = int(reach)
+    tails = np.zeros(n_max + 1)
     if lam == 0.0:  # |a| below ~1e-162: no weight beyond the vacuum in double precision
-        return np.zeros(n_max + 1)
+        return tails
     m = np.arange(n_max + 1)
     weights = np.exp(-lam + m * math.log(lam) - _log_factorials(n_max))
     if kind == "cat":
         weights = weights * (2.0 / (1.0 + math.exp(-2.0 * lam)))
         weights[1::2] = 0.0
-    return 1.0 - np.cumsum(weights)
+    tails[:-1] = np.cumsum(weights[:0:-1])[::-1]
+    return tails
 
 
-def _truncated(raw: np.ndarray, tail: float, tail_tol: float, label: str) -> TargetCoeffs:
-    """Renormalize a truncated coefficient vector after checking its dropped tail."""
-    if not tail <= tail_tol:  # a NaN tail is refused too
+def _poisson_family(kind: str, alpha, cutoff: int, tail_tol: float) -> TargetCoeffs:
+    """Cat or coherent state of amplitude alpha, truncated and renormalized."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
+    alpha = complex(alpha)
+    label = f"{kind}({alpha.real:g})" if alpha.imag == 0 else f"{kind}({alpha:g})"
+    if alpha == 0:
+        raw = np.zeros(cutoff + 1, dtype=complex)
+        raw[0] = 1.0
+        return TargetCoeffs(raw, label)
+    a = abs(alpha)
+    m = np.arange(cutoff + 1)
+    log_mag = -0.5 * a * a + m * math.log(a) - 0.5 * _log_factorials(cutoff)
+    if kind == "cat":
+        arg = cmath.phase(alpha)
+        norm = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * a * a))
+        raw = (2.0 / norm) * np.exp(log_mag + 1j * arg * m)
+        raw[1::2] = 0.0
+    else:
+        raw = np.exp(log_mag + 1j * cmath.phase(alpha) * m)
+    tails = _tails(kind, a)
+    tail = tails[cutoff] if cutoff < len(tails) else 0.0
+    if not tail <= tail_tol:  # a NaN tolerance is refused too
         raise TruncationError(
             f"{label}: truncated tail {tail:.3e} exceeds tolerance {tail_tol:.1e}; "
             "increase the cutoff"
@@ -135,39 +163,12 @@ def cat_coeffs(alpha, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Target
     Odd-number entries are exactly zero.  Raises TruncationError when the
     probability beyond the cutoff exceeds tail_tol.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    alpha = complex(alpha)
-    label = f"cat({alpha.real:g})" if alpha.imag == 0 else f"cat({alpha:g})"
-    if alpha == 0:
-        raw = np.zeros(cutoff + 1, dtype=complex)
-        raw[0] = 1.0
-        return TargetCoeffs(raw, label)
-    a = abs(alpha)
-    m = np.arange(cutoff + 1)
-    log_mag = -0.5 * a * a + m * math.log(a) - 0.5 * _log_factorials(cutoff)
-    arg = cmath.phase(alpha)
-    norm = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * a * a))
-    raw = (2.0 / norm) * np.exp(log_mag + 1j * arg * m)
-    raw[1::2] = 0.0
-    return _truncated(raw, _tails("cat", a, cutoff)[-1], tail_tol, label)
+    return _poisson_family("cat", alpha, cutoff, tail_tol)
 
 
 def coherent_coeffs(alpha, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> TargetCoeffs:
     """Coherent state |alpha> in the truncated number basis."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    alpha = complex(alpha)
-    label = f"coherent({alpha.real:g})" if alpha.imag == 0 else f"coherent({alpha:g})"
-    if alpha == 0:
-        raw = np.zeros(cutoff + 1, dtype=complex)
-        raw[0] = 1.0
-        return TargetCoeffs(raw, label)
-    a = abs(alpha)
-    m = np.arange(cutoff + 1)
-    log_mag = -0.5 * a * a + m * math.log(a) - 0.5 * _log_factorials(cutoff)
-    raw = np.exp(log_mag + 1j * cmath.phase(alpha) * m)
-    return _truncated(raw, _tails("coherent", a, cutoff)[-1], tail_tol, label)
+    return _poisson_family("coherent", alpha, cutoff, tail_tol)
 
 
 def fock_coeffs(k: int, cutoff: int) -> TargetCoeffs:
@@ -193,7 +194,7 @@ def suggest_cutoff(alpha, kind: str = "cat", tol: float = DEFAULT_TAIL_TOL) -> i
     a = abs(complex(alpha))
     if a == 0:
         return 0
-    hits = np.nonzero(_tails(kind, a, _MAX_AUTO_CUTOFF) <= tol)[0]
+    hits = np.nonzero(_tails(kind, a)[: _MAX_AUTO_CUTOFF + 1] <= tol)[0]
     if len(hits) == 0:
         raise TruncationError(f"no cutoff up to {_MAX_AUTO_CUTOFF} reaches tail {tol:.1e}")
     return int(hits[0])

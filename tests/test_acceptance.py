@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bsteleport.gridio import grid_to_csv_bytes
-from bsteleport.numerics import WignerIndex, wigner_d_column_stable, wigner_d_direct
+from bsteleport.numerics import wigner_d_column_stable, wigner_d_direct
 from bsteleport.oracle import protocol_brute_force, verify_resource
 from bsteleport.phase import phase_argmax_map
 from bsteleport.protocol import (
@@ -112,7 +112,7 @@ def test_criterion_2_rotation_kernel():
                 expected[(two_mc + two_j) // 2] = 1.0
                 assert np.array_equal(col, expected)
                 for two_mr in range(-two_j, two_j + 1, 2):
-                    val = wigner_d_direct(WignerIndex(two_j, two_mr, two_mc), 0.0)
+                    val = wigner_d_direct(two_j / 2, two_mr / 2, two_mc / 2, 0.0)
                     assert val == (1.0 if two_mr == two_mc else 0.0)
         # orthonormal columns up to j = 15
         worst_gram = 0.0
@@ -133,7 +133,7 @@ def test_criterion_2_rotation_kernel():
                     col = wigner_d_column_stable(two_j / 2, two_mc / 2, beta)
                     for row_idx in range(two_j + 1):
                         direct = wigner_d_direct(
-                            WignerIndex(two_j, 2 * row_idx - two_j, two_mc), beta)
+                            two_j / 2, row_idx - two_j / 2, two_mc / 2, beta)
                         worst_pair = max(worst_pair, abs(direct - col[row_idx]))
         assert worst_pair < 1e-9
         elapsed = time.perf_counter() - start

@@ -137,6 +137,12 @@ class TestFidelityCommand:
                      "--total", "4", "--m", "0"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_suggested_cutoff_for_a_large_amplitude(self, capsys):
+        # a tail summed as 1 - cumsum never got below 1e-12 here
+        assert main(["fidelity", "--target", "cat", "--alpha", "55.5",
+                     "--total", "4", "--m", "0"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSweepCommand:
     def test_requires_total(self, capsys):

@@ -1,4 +1,4 @@
-"""Checks for the log-factorial table and both rotation-coefficient routes."""
+"""Checks for the log-factorial array and both rotation-coefficient routes."""
 
 import math
 
@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsteleport.numerics import (
-    LogFactorialTable,
-    WignerIndex,
-    log_factorial,
-    wigner_d_column_stable,
-    wigner_d_direct,
-)
+from bsteleport.numerics import _log_factorials, wigner_d_column_stable, wigner_d_direct
 from bsteleport.oracle import sector_unitary_column
 from bsteleport.states import ResourceParams
 
@@ -59,58 +53,67 @@ def _valid_rows(two_j: int):
 
 class TestLogFactorialTable:
     def test_first_values(self):
-        table = LogFactorialTable(10)
-        assert table.value(0) == 0.0
-        assert table.value(1) == 0.0
-        assert table.value(10) == pytest.approx(math.log(3628800), rel=1e-15)
+        values = _log_factorials(10)
+        assert len(values) == 11
+        assert values[0] == 0.0
+        assert values[1] == 0.0
+        assert values[10] == pytest.approx(math.log(3628800), rel=1e-15)
 
     def test_increments_are_log_n(self):
-        table = LogFactorialTable(800)
-        values = table.values
+        values = _log_factorials(800)
         for n in range(1, 801):
             assert values[n] - values[n - 1] == pytest.approx(math.log(n), abs=1e-11)
 
     def test_matches_lgamma(self):
-        table = LogFactorialTable(4096)
+        values = _log_factorials(4096)
         for n in (2, 17, 100, 777, 4096):
             ref = math.lgamma(n + 1)
-            assert table.value(n) == pytest.approx(ref, rel=1e-13)
-
-    def test_out_of_range_raises(self):
-        table = LogFactorialTable(5)
-        with pytest.raises(ValueError):
-            table.value(6)
-        with pytest.raises(ValueError):
-            table.value(-1)
+            assert values[n] == pytest.approx(ref, rel=1e-13)
 
     def test_module_function_grows_on_demand(self):
-        assert log_factorial(5000) == pytest.approx(math.lgamma(5001), rel=1e-13)
-        assert log_factorial(0) == 0.0
+        # beyond the shared array the sum is built afresh; being sequential,
+        # it repeats the shared values bit for bit
+        values = _log_factorials(5000)
+        assert values[5000] == pytest.approx(math.lgamma(5001), rel=1e-13)
+        assert np.array_equal(values[:4097], _log_factorials(4096))
+        assert not _log_factorials(4096).flags.writeable
 
 
 class TestWignerIndex:
+    """Index refusals of the direct route; the stable route shares them."""
+
     def test_parity_mismatch_raises(self):
         with pytest.raises(ValueError):
-            WignerIndex.from_values(1, 0.5, 0)
+            wigner_d_direct(1, 0.5, 0, 0.3)
+        with pytest.raises(ValueError):
+            wigner_d_column_stable(1, 0.5, 0.3)
 
     def test_row_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            WignerIndex.from_values(1, 2, 0)
+            wigner_d_direct(1, 2, 0, 0.3)
+        with pytest.raises(ValueError):
+            wigner_d_direct(1, 0, -2, 0.3)
+        with pytest.raises(ValueError):
+            wigner_d_column_stable(1, -2, 0.3)
 
     def test_negative_j_raises(self):
         with pytest.raises(ValueError):
-            WignerIndex(-2, 0, 0)
+            wigner_d_direct(-1, 0, 0, 0.3)
+        with pytest.raises(ValueError):
+            wigner_d_column_stable(-1, 0, 0.3)
 
     def test_non_half_integer_rejected(self):
         with pytest.raises(ValueError):
-            WignerIndex.from_values(0.3, 0.3, 0.3)
-
-    def test_half_integer_accessors(self):
-        idx = WignerIndex.from_values(1.5, -0.5, 0.5)
-        assert idx.two_j == 3
-        assert idx.j == 1.5
-        assert idx.m_row == -0.5
-        assert idx.m_col == 0.5
+            wigner_d_direct(0.3, 0.3, 0.3, 0.3)
+        with pytest.raises(ValueError):
+            wigner_d_direct(1, 0.3, 0, 0.3)
+        with pytest.raises(ValueError):
+            wigner_d_column_stable(0.3, 0.3, 0.3)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="not integer or half-integer"):
+                wigner_d_column_stable(bad, 0, 0.3)
+            with pytest.raises(ValueError, match="not integer or half-integer"):
+                wigner_d_direct(1, bad, 0, 0.3)
 
 
 class TestDirectRoute:
@@ -118,7 +121,7 @@ class TestDirectRoute:
         for two_j in (0, 1, 2, 5, 12):
             for two_mr in _valid_rows(two_j):
                 for two_mc in _valid_rows(two_j):
-                    val = wigner_d_direct(WignerIndex(two_j, two_mr, two_mc), 0.0)
+                    val = wigner_d_direct(two_j / 2, two_mr / 2, two_mc / 2, 0.0)
                     expected = 1.0 if two_mr == two_mc else 0.0
                     assert val == expected
 
@@ -126,10 +129,10 @@ class TestDirectRoute:
         # j = 1/2 block is [[cos, -sin], [sin, cos]] in (m', m) = (+-1/2)
         for beta in BETA_GRID:
             c, s = math.cos(beta / 2), math.sin(beta / 2)
-            assert wigner_d_direct(WignerIndex(1, 1, 1), beta) == pytest.approx(c, abs=1e-15)
-            assert wigner_d_direct(WignerIndex(1, -1, 1), beta) == pytest.approx(s, abs=1e-15)
-            assert wigner_d_direct(WignerIndex(1, 1, -1), beta) == pytest.approx(-s, abs=1e-15)
-            assert wigner_d_direct(WignerIndex(1, -1, -1), beta) == pytest.approx(c, abs=1e-15)
+            assert wigner_d_direct(0.5, 0.5, 0.5, beta) == pytest.approx(c, abs=1e-15)
+            assert wigner_d_direct(0.5, -0.5, 0.5, beta) == pytest.approx(s, abs=1e-15)
+            assert wigner_d_direct(0.5, 0.5, -0.5, beta) == pytest.approx(-s, abs=1e-15)
+            assert wigner_d_direct(0.5, -0.5, -0.5, beta) == pytest.approx(c, abs=1e-15)
 
     def test_three_dimensional_closed_form(self):
         for beta in BETA_GRID:
@@ -143,15 +146,15 @@ class TestDirectRoute:
                 (-1, 1): (1 - c) / 2,
             }
             for (mr, mc), expected in cases.items():
-                got = wigner_d_direct(WignerIndex(2, 2 * mr, 2 * mc), beta)
+                got = wigner_d_direct(1, mr, mc, beta)
                 assert got == pytest.approx(expected, abs=1e-14)
 
     def test_half_pi_quarter_spin_value(self):
-        got = wigner_d_direct(WignerIndex(1, 1, 1), math.pi / 2)
+        got = wigner_d_direct(0.5, 0.5, 0.5, math.pi / 2)
         assert got == pytest.approx(0.7071067811865476, abs=1e-15)
 
     def test_middle_null_j1(self):
-        assert abs(wigner_d_direct(WignerIndex(2, 0, 0), math.pi / 2)) < 1e-14
+        assert abs(wigner_d_direct(1, 0, 0, math.pi / 2)) < 1e-14
 
     def test_matches_extended_precision_small_j(self):
         rng = np.random.default_rng(11)
@@ -162,7 +165,7 @@ class TestDirectRoute:
                 two_mc = int(rng.choice(rows))
                 beta = float(rng.uniform(0.05, math.pi - 0.05))
                 ref = _direct_mp(two_j, two_mr, two_mc, beta)
-                got = wigner_d_direct(WignerIndex(two_j, two_mr, two_mc), beta)
+                got = wigner_d_direct(two_j / 2, two_mr / 2, two_mc / 2, beta)
                 assert got == pytest.approx(ref, abs=5e-14)
 
     @settings(max_examples=40, deadline=None)
@@ -170,7 +173,7 @@ class TestDirectRoute:
     def test_bounded_by_one(self, two_j, data, beta):
         two_mr = data.draw(st.sampled_from(list(_valid_rows(two_j))) if two_j else st.just(0))
         two_mc = data.draw(st.sampled_from(list(_valid_rows(two_j))) if two_j else st.just(0))
-        val = wigner_d_direct(WignerIndex(two_j, two_mr, two_mc), beta)
+        val = wigner_d_direct(two_j / 2, two_mr / 2, two_mc / 2, beta)
         assert abs(val) <= 1 + 1e-12
 
 
@@ -218,7 +221,7 @@ class TestStableRoute:
         # the factorial sum loses ~all precision here; this pins down why
         # the eigendecomposition route exists
         worst = max(
-            abs(wigner_d_direct(WignerIndex(100, 2 * m_row, 0), math.pi / 2) - ref)
+            abs(wigner_d_direct(50, m_row, 0, math.pi / 2) - ref)
             for m_row, ref in J50_COLUMN_REFERENCE.items()
         )
         assert worst > 1e-6
@@ -233,7 +236,7 @@ class TestStableRoute:
                 two_mc = int(rng.choice(rows))
                 col = wigner_d_column_stable(j, two_mc / 2, beta)
                 for two_mr in rng.choice(rows, size=min(5, len(rows)), replace=False):
-                    direct = wigner_d_direct(WignerIndex(two_j, int(two_mr), two_mc), beta)
+                    direct = wigner_d_direct(two_j / 2, int(two_mr) / 2, two_mc / 2, beta)
                     worst = max(worst, abs(direct - col[(int(two_mr) + two_j) // 2]))
         assert worst < 1e-9
 
@@ -257,4 +260,4 @@ class TestStableRoute:
         with pytest.raises(ValueError):
             wigner_d_column_stable(1, 0, -0.1)
         with pytest.raises(ValueError):
-            wigner_d_direct(WignerIndex(2, 0, 0), math.pi + 0.1)
+            wigner_d_direct(1, 0, 0, math.pi + 0.1)

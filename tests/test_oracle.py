@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bsteleport.oracle import (
     MAX_BRUTE_CUTOFF,
@@ -72,6 +73,16 @@ class TestSectorUnitary:
     def test_trivial_sector(self):
         assert np.array_equal(sector_unitary(0, 1.0), np.ones((1, 1), dtype=complex))
         assert np.array_equal(sector_unitary_column(ResourceParams(0, 0, 1.0)), [1.0 + 0.0j])
+
+    def test_real_block_matches_complex_exponential(self):
+        # the oracle exponentiates [[0, -bH], [bH, 0]] in real arithmetic;
+        # it must agree with the complex exponential it replaces
+        for total in (1, 7, 20, 40):
+            off = SectorHamiltonian.build(total).offdiag
+            ham = np.diag(off, 1) + np.diag(off, -1)
+            for beta in BETA_GRID:
+                reference = scipy.linalg.expm(1j * beta * ham)
+                assert np.max(np.abs(sector_unitary(total, beta) - reference)) < 1e-13
 
 
 class TestVerifyResource:

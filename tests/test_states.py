@@ -212,6 +212,19 @@ class TestSuggestCutoff:
             for kind, builder in (("cat", cat_coeffs), ("coherent", coherent_coeffs)):
                 builder(a, suggest_cutoff(a, kind))  # must not raise
 
+    def test_large_amplitudes_reach_the_tolerance(self):
+        rng = np.random.default_rng(8)
+        for a in rng.uniform(33.0, 60.0, size=2000):
+            for kind, builder in (("cat", cat_coeffs), ("coherent", coherent_coeffs)):
+                builder(a, suggest_cutoff(a, kind))  # must not raise
+
+    def test_amplitude_beyond_the_weight_range_refused(self):
+        for builder in (cat_coeffs, coherent_coeffs):
+            with pytest.raises(TruncationError):
+                builder(1e5, 10)
+        with pytest.raises(TruncationError):
+            suggest_cutoff(1e5)
+
     def test_amplitude_too_small_to_square(self):
         assert suggest_cutoff(1e-170, "cat") == 0
         assert cat_coeffs(1e-170, 3).coeffs[0] == 1.0
