@@ -27,6 +27,7 @@ from .gridio import (
 from .oracle import verify_resource
 from .phase import DEFAULT_PHASE_GRID, phase_argmax_map
 from .protocol import (
+    _check_grid_size,
     average_fidelity,
     classical_baseline,
     fidelity_sweep,
@@ -223,7 +224,8 @@ def _build_target(args):
     return builder(args.alpha, cutoff, tail_tol=args.tail_tol)
 
 
-def _resolve_pair(args) -> tuple[int, int]:
+def _params(args) -> ResourceParams:
+    """Resource inputs from --n-in/--m-in or --total/--m, with --beta."""
     by_pair = args.n_in is not None or args.m_in is not None
     by_sector = args.total is not None or args.m is not None
     if by_pair and by_sector:
@@ -231,29 +233,21 @@ def _resolve_pair(args) -> tuple[int, int]:
     if by_pair:
         if args.n_in is None or args.m_in is None:
             _fail("--n-in and --m-in must be given together")
-        return args.n_in, args.m_in
+        return ResourceParams(args.n_in, args.m_in, args.beta)
     if by_sector:
         if args.total is None or args.m is None:
             _fail("--total and --m must be given together")
         split = split_total(args.total, args.m)
         if split is None:
             _fail(f"m={args.m:g} is incompatible with total={args.total}")
-        return split
+        return ResourceParams(*split, args.beta)
     raise _UsageError("resource inputs required: --n-in/--m-in or --total/--m")
 
 
-def _beta_axis(steps: int) -> np.ndarray:
-    if steps < 2:
-        _fail("--beta-steps must be at least 2")
-    k = np.arange(1, steps + 1, dtype=float)
-    return math.pi * k / (steps + 1)
-
-
-def _m_axis(args) -> np.ndarray:
+def _m_range(args) -> tuple[float, float, int]:
+    """Start, step and length of the m axis, checked before anything is allocated."""
     if args.m_range is None:
-        start = 0.0 if args.total % 2 == 0 else 0.5
-        count = args.total // 2 + 1
-        return start + np.arange(count, dtype=float)
+        return (0.0 if args.total % 2 == 0 else 0.5), 1.0, args.total // 2 + 1
     parts = args.m_range.split(":")
     if len(parts) not in (2, 3):
         _fail("--m-range must be lo:hi or lo:hi:step")
@@ -269,48 +263,49 @@ def _m_axis(args) -> np.ndarray:
         _fail("--m-range step must be positive")
     if hi < lo:
         _fail("--m-range upper bound is below the lower bound")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count, dtype=float)
+    span = (hi - lo) / step + 1e-9
+    if not math.isfinite(span):
+        _fail(f"--m-range has too many points: {args.m_range!r}")
+    return lo, step, int(span) + 1
 
 
 def _cmd_resource(args) -> int:
-    n_in, m_in = _resolve_pair(args)
-    params = ResourceParams(n_in, m_in, args.beta)
-    data = coeffs_to_csv_bytes(resource_coeffs(params).coeffs)
-    _emit(args, data)
+    _emit(args, coeffs_to_csv_bytes(resource_coeffs(_params(args)).coeffs))
     return 0
 
 
 def _cmd_distribution(args) -> int:
     target = _build_target(args)
-    n_in, m_in = _resolve_pair(args)
-    resource = resource_coeffs(ResourceParams(n_in, m_in, args.beta))
-    data = distribution_to_csv_bytes(outcome_distribution(target, resource))
-    _emit(args, data)
+    resource = resource_coeffs(_params(args))
+    _emit(args, distribution_to_csv_bytes(outcome_distribution(target, resource)))
     return 0
 
 
 def _cmd_fidelity(args) -> int:
     target = _build_target(args)
-    n_in, m_in = _resolve_pair(args)
-    params = ResourceParams(n_in, m_in, args.beta)
+    params = _params(args)
     resource = resource_coeffs(params)
     print(f"target={target.label} cutoff={target.cutoff}")
-    print(f"n_in={n_in} m_in={m_in} beta={_fmt(args.beta)}")
+    print(f"n_in={params.n_in} m_in={params.m_in} beta={_fmt(args.beta)}")
     print(f"average_fidelity={_fmt(average_fidelity(target, resource))}")
     print(f"classical_baseline={_fmt(classical_baseline(target, params))}")
     return 0
 
 
-def _grid_inputs(args) -> tuple[int, np.ndarray, np.ndarray]:
-    """Total, beta axis and m axis of a grid command."""
+def _grid_inputs(args, length: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Total, beta axis and m axis of a grid command; too large a grid is refused first."""
     if args.total is None:
         _fail("--total is required")
     if args.total < 0:
         _fail("--total must be non-negative")
     if args.workers is not None and args.workers < 1:
         _fail("--workers must be at least 1")
-    return args.total, _beta_axis(args.beta_steps), _m_axis(args)
+    if args.beta_steps < 2:
+        _fail("--beta-steps must be at least 2")
+    lo, step, count = _m_range(args)
+    _check_grid_size(args.total, args.beta_steps, count, length)
+    beta_axis = math.pi * np.arange(1, args.beta_steps + 1, dtype=float) / (args.beta_steps + 1)
+    return args.total, beta_axis, lo + step * np.arange(count, dtype=float)
 
 
 def _write_grid(args, grid, scale: float) -> int:
@@ -334,11 +329,12 @@ def _write_grid(args, grid, scale: float) -> int:
 
 def _cmd_sweep(args) -> int:
     target = _build_target(args)
-    return _write_grid(args, fidelity_sweep(target, *_grid_inputs(args)), scale=1.0)
+    inputs = _grid_inputs(args, len(target.coeffs))
+    return _write_grid(args, fidelity_sweep(target, *inputs), scale=1.0)
 
 
 def _cmd_phase_map(args) -> int:
-    grid = phase_argmax_map(*_grid_inputs(args), grid_size=args.phi_grid)
+    grid = phase_argmax_map(*_grid_inputs(args, args.phi_grid), grid_size=args.phi_grid)
     return _write_grid(args, grid, scale=math.pi / 2)
 
 

@@ -19,34 +19,29 @@ from scipy.linalg import eigh_tridiagonal
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _cumlog_factorials(n_max: int) -> np.ndarray:
-    """ln(n!) for n = 0..n_max by compensated cumulative addition of ln(n)."""
+def _cumlog_factorials(n_max: int, head=(0.0,), carry: float = 0.0) -> tuple[np.ndarray, float]:
+    """ln(n!) for n = 0..n_max by compensated addition of ln(n) after head, and the carry."""
     out = np.empty(n_max + 1)
-    out[0] = 0.0
-    total = 0.0
-    carry = 0.0
-    for n in range(1, n_max + 1):
+    out[: len(head)] = head
+    total = float(head[-1])
+    for n in range(len(head), n_max + 1):
         y = math.log(n) - carry
         t = total + y
         carry = (t - total) - y
         total = t
         out[n] = total
-    return out
+    return out, carry
 
 
-_LOG_FACTORIALS = _cumlog_factorials(4096)
+_LOG_FACTORIALS, _LOG_CARRY = _cumlog_factorials(4096)
 _LOG_FACTORIALS.setflags(write=False)
 
 
 def _log_factorials(n: int) -> np.ndarray:
-    """ln(k!) for k = 0..n, read-only up to n = 4096.
-
-    The compensated sum is sequential, so the array built afresh for a
-    larger n agrees bit for bit with the shared one where they overlap.
-    """
+    """ln(k!) for k = 0..n, read-only up to 4096; beyond, the shared sum continues bit for bit."""
     if n < len(_LOG_FACTORIALS):
         return _LOG_FACTORIALS[: n + 1]
-    return _cumlog_factorials(n)
+    return _cumlog_factorials(n, _LOG_FACTORIALS, _LOG_CARRY)[0]
 
 
 def _doubled(j, **ms) -> tuple[int, ...]:
@@ -145,25 +140,33 @@ def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return eigh_tridiagonal(np.zeros(two_j + 1), _offdiagonal(two_j))
 
 
-def _rotated_column(factor: tuple[np.ndarray, np.ndarray], col: int, beta: float) -> np.ndarray:
-    """Real column `col` of D(beta) from the generator's factorization."""
+def _rotated_column(factor: tuple[np.ndarray, np.ndarray], col: int, beta) -> np.ndarray:
+    """Real column `col` of D(beta), shape beta.shape + (dim,), from the generator's factorization.
+
+    e^{i beta G} is cos(beta G), which keeps the row parity, plus i sin(beta G),
+    which flips it: after the exact i^{n-col} twist each half of the column is
+    one real product.  beta == 0 gives the exact delta.
+    """
     w, v = factor
     dim = len(w)
-    if beta == 0.0:
-        out = np.zeros(dim)
-        out[col] = 1.0
-        return out
-    ucol = (v * np.exp(1j * beta * w)) @ v[col]
-    phase = _I_POW[(np.arange(dim) - col) % 4]
-    return (phase * ucol).real
+    beta = np.asarray(beta, dtype=float)
+    angles = beta[..., None] * w
+    same = col % 2
+    out = np.empty(beta.shape + (dim,))
+    out[..., same::2] = (np.cos(angles) * v[col]) @ v[same::2].T
+    out[..., 1 - same::2] = (np.sin(angles) * v[col]) @ v[1 - same::2].T
+    # the twist i^k times cos (k even) or i sin (k odd), k = n - col mod 4
+    out *= np.array([1.0, -1.0, -1.0, 1.0])[(np.arange(dim) - col) % 4]
+    out[beta == 0.0] = np.eye(1, dim, col)
+    return out
 
 
 def wigner_d_column_stable(j, m_col, beta: float) -> np.ndarray:
     """Full column D^j_{m',m}(beta), m' = -j..j, via eigendecomposition.
 
-    The tridiagonal generator is exponentiated to realize the rotation,
-    and the resulting complex column is twisted back by exact i^k unit
-    phases; the imaginary residue is discarded.  Accurate at any j.
+    The rotation is built from the eigendecomposition of the tridiagonal
+    generator in real arithmetic, with the exact i^k twist folded into
+    signs; nothing imaginary is computed.  Accurate at any j.
     """
     beta = _check_beta(beta)
     two_j, two_m = _doubled(j, m_col=m_col)

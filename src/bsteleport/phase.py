@@ -40,7 +40,7 @@ class PhaseProfile:
 
 def _twisted(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients in the quadrature frame: entry n gains an exact i^n."""
-    n = np.arange(len(coeffs))
+    n = np.arange(coeffs.shape[-1])
     return _I_POW[n % 4] * coeffs
 
 
@@ -51,23 +51,40 @@ def joint_phase_prob(resource: ResourceCoeffs, phi_minus: float) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    # k-th inverse-DFT entry is (1/K) sum_n e^{2pi i n k / K} c_n
+def _half_profile(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+    """Profile at phi_k = 2 pi k / K for k = 0..K/2, one row per row of coefficients.
+
+    The twisted coefficients are i^{n_in} times a real vector, read exactly
+    as Re + Im, so the profile is its |rfft|^2 and phi_{K-k} reads as phi_k.
+    """
+    if grid_size < MIN_PHASE_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
     twisted = _twisted(coeffs)
-    if len(twisted) > grid_size:
+    if np.any(twisted.real) and np.any(twisted.imag):
+        raise ValueError("coefficients are not real up to a quarter turn in the quadrature frame")
+    x = twisted.real + twisted.imag
+    if x.shape[-1] > grid_size:
         # the kernel has period K in n, so coefficients beyond K fold onto n mod K
-        twisted = np.pad(twisted, (0, -len(twisted) % grid_size)).reshape(-1, grid_size).sum(axis=0)
-    z = grid_size * np.fft.ifft(twisted, n=grid_size)
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, -x.shape[-1] % grid_size)])
+        x = x.reshape(x.shape[:-1] + (-1, grid_size)).sum(axis=-2)
+    z = np.fft.rfft(x, n=grid_size, axis=-1)
     return z.real**2 + z.imag**2
 
 
 def phase_profile(params: ResourceParams, grid_size: int = DEFAULT_PHASE_GRID) -> PhaseProfile:
     """Profile of the phase-difference probability for one resource."""
-    if grid_size < MIN_PHASE_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
-    coeffs = resource_coeffs(params).coeffs
+    half = _half_profile(resource_coeffs(params).coeffs, grid_size)
+    values = np.concatenate([half, half[1:(grid_size + 1) // 2][::-1]])
     phi_axis = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    return PhaseProfile(phi_axis, _profile_values(coeffs, grid_size), params.beta, params.m, params.total)
+    return PhaseProfile(phi_axis, values, params.beta, params.m, params.total)
+
+
+def _peak(coeffs: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Location and value of the profile maximum for each row of coefficients (see phase_argmax)."""
+    values = _half_profile(coeffs, grid_size)
+    v_max = values.max(axis=-1)
+    idx = np.argmax(values >= v_max[..., None] * (1.0 - _ARGMAX_RTOL), axis=-1)
+    return np.where(v_max > 0.0, 2.0 * np.pi * idx / grid_size, 0.0), v_max
 
 
 def phase_argmax(resource: ResourceCoeffs, grid_size: int = DEFAULT_PHASE_GRID) -> tuple[float, float]:
@@ -76,22 +93,11 @@ def phase_argmax(resource: ResourceCoeffs, grid_size: int = DEFAULT_PHASE_GRID) 
     Ties within relative tolerance of the maximum resolve to the smallest
     phi, so constant profiles report phi = 0.
     """
-    if grid_size < MIN_PHASE_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
-    values = _profile_values(resource.coeffs, grid_size)
-    v_max = float(values.max())
-    if v_max <= 0.0:
-        return 0.0, v_max
-    idx = int(np.argmax(values >= v_max * (1.0 - _ARGMAX_RTOL)))
-    return 2.0 * np.pi * idx / grid_size, v_max
+    phi, v_max = _peak(resource.coeffs, grid_size)
+    return float(phi), float(v_max)
 
 
-def phase_argmax_map(
-    total: int,
-    beta_axis,
-    m_axis,
-    grid_size: int = DEFAULT_PHASE_GRID,
-) -> FidelityGrid:
+def phase_argmax_map(total: int, beta_axis, m_axis, grid_size: int = DEFAULT_PHASE_GRID) -> FidelityGrid:
     """Most likely phase difference over a (beta, m) grid at fixed total.
 
     Cells whose m is incompatible with the total are filled with NaN, as
@@ -99,4 +105,4 @@ def phase_argmax_map(
     """
     if grid_size < MIN_PHASE_GRID:
         raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
-    return _grid(total, beta_axis, m_axis, lambda res: phase_argmax(res, grid_size)[0], "phase-argmax")
+    return _grid(total, beta_axis, m_axis, lambda block: _peak(block, grid_size)[0], grid_size, "phase-argmax")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 
 # outcomes with probability at or below this are treated as unobservable
 DEFINED_MIN = 1e-15
+# bytes a grid call may hold: the factor, one row's rotation and reduction blocks, the grid
+MAX_GRID_BYTES = 1 << 30
 
 
 class UndefinedOutcomeError(ValueError):
@@ -136,27 +139,53 @@ def output_state(
     return OutputState(q, n_hi + 1, np.outer(amp, np.conj(amp)) / p)
 
 
+def _banded(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Full convolution of w with every column of x along x's first axis, with no Toeplitz matrix.
+
+    The loop runs over the columns of x (one np.convolve each) or over the
+    nonzero weights (one shifted, scaled copy of x each), whichever are fewer.
+    """
+    flat = x.reshape(len(x), -1)
+    out = np.zeros((len(w) + len(x) - 1, flat.shape[1]))
+    taps = np.flatnonzero(w)
+    if flat.shape[1] <= len(taps):
+        for c in range(flat.shape[1]):
+            out[:, c] = np.convolve(w, flat[:, c])
+    else:
+        for k in taps:
+            out[k:k + len(x)] += w[k] * flat
+    return out.reshape(out.shape[:1] + x.shape[1:])
+
+
+def _outcomes(target: TargetCoeffs, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p f) over q for coefficients d (last axis n): one banded product with |d|^2, Re d, Im d."""
+    d = d.T  # n first; d has at most one leading axis
+    x = np.empty((len(d), 3) + d.shape[1:])
+    x[:, 0], x[:, 1], x[:, 2] = _abs2(d), d.real, d.imag
+    out = _banded(_abs2(target.coeffs), x)
+    return out[:, 0].T, (out[:, 1] ** 2 + out[:, 2] ** 2).T
+
+
+def _average(target: TargetCoeffs, d: np.ndarray) -> np.ndarray:
+    """Average fidelity for resource coefficients d, one value per leading index."""
+    p, pf = _outcomes(target, d)
+    return np.where(p > DEFINED_MIN, pf, 0.0).sum(axis=-1)
+
+
 def outcome_distribution(target: TargetCoeffs, resource: ResourceCoeffs) -> OutcomeDistribution:
     """Full outcome distribution with conditional fidelities.
 
-    Support runs over q = 0 .. cutoff + total; both arrays are built by
-    direct convolution of the coefficient vectors.
+    Support runs over q = 0 .. cutoff + total; both arrays come from one
+    banded product of the target weights with the resource coefficients.
     """
-    w = _abs2(target.coeffs)
-    d = resource.coeffs
-    p = np.convolve(w, _abs2(d))
-    s = np.convolve(w.astype(complex), d)
-    f = np.full(len(p), np.nan)
+    p, pf = _outcomes(target, resource.coeffs)
     mask = p > DEFINED_MIN
-    f[mask] = (s.real[mask] ** 2 + s.imag[mask] ** 2) / p[mask]
-    return OutcomeDistribution(0, len(p) - 1, p, f)
+    return OutcomeDistribution(0, len(p) - 1, p, np.where(mask, pf / np.where(mask, p, 1.0), np.nan))
 
 
 def average_fidelity(target: TargetCoeffs, resource: ResourceCoeffs) -> float:
     """Outcome-averaged teleportation fidelity."""
-    dist = outcome_distribution(target, resource)
-    mask = dist.p > DEFINED_MIN
-    return float(np.sum(dist.p[mask] * dist.f[mask]))
+    return float(_average(target, resource.coeffs))
 
 
 def classical_baseline(target: TargetCoeffs, params: ResourceParams | None = None) -> float:
@@ -190,12 +219,20 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
     return n_in, total - n_in
 
 
-def _grid(total: int, beta_axis, m_axis, cell, label: str) -> FidelityGrid:
-    """Evaluate cell(resource) at every (beta, m) of a grid at fixed total.
+def _check_grid_size(total: int, n_beta: int, n_m: int, length: int) -> None:
+    """Refuse a grid over MAX_GRID_BYTES before allocating; length is the target's or the phase grid."""
+    dim = total + 1
+    need = 8 * (dim * (dim + 1) + n_beta * (8 * (2 * dim + length) + n_m))
+    if need > MAX_GRID_BYTES:
+        raise ValueError(f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs "
+                         f"about {need / 2**20:.0f} MiB, above the {MAX_GRID_BYTES / 2**20:g} MiB limit")
 
-    The sector generator is factored once and every cell's resource is
-    rotated from that factorization.  Rows whose m is incompatible with
-    the total are reported with a warning and filled with NaN.
+
+def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) -> FidelityGrid:
+    """One value per (m, beta) at fixed total, from one factor of the sector generator.
+
+    Each compatible m row is rotated as one resource block over the beta axis
+    and reduce_row turns it into one value per beta; other rows warn and stay NaN.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
@@ -207,6 +244,7 @@ def _grid(total: int, beta_axis, m_axis, cell, label: str) -> FidelityGrid:
         raise ValueError("beta axis must lie in [0, pi]")
     if total < 0:
         raise ValueError("total must be non-negative")
+    _check_grid_size(total, len(beta_axis), len(m_axis), length)
 
     factor = _factor(total)
     values = np.full((len(m_axis), len(beta_axis)), np.nan)
@@ -215,8 +253,7 @@ def _grid(total: int, beta_axis, m_axis, cell, label: str) -> FidelityGrid:
         if split is None:
             warnings.warn(f"m={m:g} incompatible with total={total}; row marked invalid")
             continue
-        for k, beta in enumerate(beta_axis):
-            values[i, k] = cell(_resource(factor, ResourceParams(*split, float(beta))))
+        values[i] = reduce_row(_resource(factor, split[0], beta_axis))
     return FidelityGrid(beta_axis, m_axis, values, total, label)
 
 
@@ -226,4 +263,4 @@ def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> Fidel
     Grid cells whose m is incompatible with the total are reported with a
     warning and filled with NaN.
     """
-    return _grid(total, beta_axis, m_axis, lambda res: average_fidelity(target, res), target.label)
+    return _grid(total, beta_axis, m_axis, partial(_average, target), len(target.coeffs), target.label)

@@ -82,12 +82,11 @@ class TargetCoeffs:
         return len(self.coeffs) - 1
 
 
-def _resource(factor: tuple[np.ndarray, np.ndarray], params: ResourceParams) -> ResourceCoeffs:
-    """Resource coefficients from the factorization of the sector generator."""
-    column = _rotated_column(factor, params.n_in, params.beta)
-    n = np.arange(params.total + 1)
-    phase = _I_POW[(params.n_in - n) % 4]  # e^{-i(pi/2)(n - n_in)}
-    return ResourceCoeffs(params.total, phase * column)
+def _resource(factor: tuple[np.ndarray, np.ndarray], n_in: int, beta) -> np.ndarray:
+    """Resource coefficients (last axis n, one row per beta) from the generator's factorization."""
+    column = _rotated_column(factor, n_in, beta)
+    n = np.arange(column.shape[-1])
+    return _I_POW[(n_in - n) % 4] * column  # e^{-i(pi/2)(n - n_in)}
 
 
 def resource_coeffs(params: ResourceParams) -> ResourceCoeffs:
@@ -96,7 +95,7 @@ def resource_coeffs(params: ResourceParams) -> ResourceCoeffs:
     The magnitude profile is the stable rotation column at j = total/2;
     the quarter-turn phases are applied exactly (no trig roundoff).
     """
-    return _resource(_factor(params.total), params)
+    return ResourceCoeffs(params.total, _resource(_factor(params.total), params.n_in, params.beta))
 
 
 def _tails(kind: str, a: float) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from bsteleport.gridio import grid_to_csv_bytes
 from bsteleport.numerics import wigner_d_column_stable, wigner_d_direct
 from bsteleport.oracle import protocol_brute_force, verify_resource
-from bsteleport.phase import phase_argmax_map
+from bsteleport.phase import phase_argmax, phase_argmax_map
 from bsteleport.protocol import (
     DEFINED_MIN,
     FidelityGrid,
@@ -286,3 +286,18 @@ def test_criterion_9_determinism(fig2_runs):
         bytes_second = grid_to_csv_bytes(second)
         assert bytes_first == bytes_second
         detail["note"] = f"{len(bytes_first)} bytes, one call and {len(M_AXIS)} row calls"
+
+
+def test_grid_cells_match_point_queries(fig_target, fig2_runs, fig3_run):
+    # every cell of both figures against the one-point public routes; a row's
+    # rotation is one BLAS product over the beta axis, so fidelities may differ
+    # in the last bits, while phase readings are grid positions and must agree
+    fidelity, phase = fig2_runs[0].values, fig3_run[0].values
+    worst = 0.0
+    for i, m in enumerate(M_AXIS):
+        n_in = int(FIG_TOTAL // 2 + m)
+        for k, beta in enumerate(BETA_AXIS):
+            resource = resource_coeffs(ResourceParams(n_in, FIG_TOTAL - n_in, float(beta)))
+            worst = max(worst, abs(fidelity[i, k] - average_fidelity(fig_target, resource)))
+            assert phase[i, k] == phase_argmax(resource)[0], (m, beta)
+    assert worst < 1e-14

@@ -204,6 +204,16 @@ class TestSweepCommand:
                      "--m-range", "0:inf", "--out-dir", str(tmp_path)]) == 1
         assert "--m-range must be finite" in capsys.readouterr().err
 
+    def test_memory_budget(self, capsys, tmp_path):
+        # each of these would ask for terabytes; all are refused before allocating
+        base = ["sweep", "--target", "fock", "--k", "0", "--total", "100", "--out-dir", str(tmp_path)]
+        for extra, message in ((["--beta-steps", str(10**12)], "MiB limit"),
+                               (["--m-range", "0:1e12"], "MiB limit"),
+                               (["--m-range", "0:1e300:1e-300"], "too many points")):
+            assert main(base + extra) == 1
+            assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_workers_below_one(self, capsys, tmp_path):
         assert main(["sweep", "--target", "fock", "--k", "0", "--total", "2",
                      "--workers", "0", "--out-dir", str(tmp_path)]) == 1
@@ -224,6 +234,11 @@ class TestPhaseMapCommand:
     def test_phi_grid_floor(self, capsys, tmp_path):
         assert main(["phase-map", "--total", "2", "--phi-grid", "8",
                      "--out-dir", str(tmp_path)]) == 1
+
+    def test_memory_budget(self, capsys, tmp_path):
+        assert main(["phase-map", "--total", "2", "--phi-grid", str(2**40),
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "MiB limit" in capsys.readouterr().err
 
 
 class TestOutputRouting:

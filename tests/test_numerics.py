@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsteleport.numerics import _log_factorials, wigner_d_column_stable, wigner_d_direct
+from bsteleport.numerics import (
+    _cumlog_factorials,
+    _factor,
+    _log_factorials,
+    _rotated_column,
+    wigner_d_column_stable,
+    wigner_d_direct,
+)
 from bsteleport.oracle import sector_unitary_column
 from bsteleport.states import ResourceParams
 
@@ -24,10 +31,10 @@ J50_COLUMN_REFERENCE = {
 }
 
 
-def _direct_mp(two_j: int, two_mr: int, two_mc: int, beta: float):
-    """The defining factorial sum in 60-digit arithmetic (test oracle)."""
+def _direct_mp(two_j: int, two_mr: int, two_mc: int, beta: float, dps: int = 60):
+    """The defining factorial sum in dps-digit arithmetic (test oracle)."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 60
+    mp.mp.dps = dps
     j = mp.mpf(two_j) / 2
     mr = mp.mpf(two_mr) / 2
     mc = mp.mpf(two_mc) / 2
@@ -77,6 +84,10 @@ class TestLogFactorialTable:
         assert values[5000] == pytest.approx(math.lgamma(5001), rel=1e-13)
         assert np.array_equal(values[:4097], _log_factorials(4096))
         assert not _log_factorials(4096).flags.writeable
+
+    def test_continued_sum_equals_sum_from_one(self):
+        # beyond 4096 the shared sum resumes from its carry instead of from 1
+        assert np.array_equal(_log_factorials(5000), _cumlog_factorials(5000)[0])
 
 
 class TestWignerIndex:
@@ -255,6 +266,32 @@ class TestStableRoute:
     def test_unitary_column_norm(self):
         ucol = sector_unitary_column(ResourceParams(5, 9, 1.1))
         assert abs(np.vdot(ucol, ucol).real - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("total, picks", [
+        (1000, ((0, 1000), (377, 621), (850, 700))),
+        (2000, ((1999, 3), (1500, 1000), (1800, 1500))),
+    ])
+    def test_large_total_entries_match_extended_precision(self, total, picks):
+        # the factorial sum cancels down from ~10^(total/2), so its digits
+        # must exceed that; corner picks are tiny entries, checked absolutely
+        betas = np.array([0.7, 2.0])
+        factor = _factor(total)
+        for k, (row, col) in enumerate(picks):
+            got = _rotated_column(factor, col, betas)[k % 2, row]
+            ref = _direct_mp(total, 2 * row - total, 2 * col - total, float(betas[k % 2]),
+                             dps=total // 2 + 60)
+            assert got == pytest.approx(ref, abs=1e-13)
+
+    def test_beta_batch_matches_single_columns(self):
+        # one block over a beta axis, beta = 0 included, against one call per beta
+        factor = _factor(61)
+        betas = np.array([0.0, 0.4, math.pi / 2, 2.9, math.pi])
+        for col in (0, 30, 61):
+            block = _rotated_column(factor, col, betas)
+            assert block.shape == (len(betas), 62)
+            assert np.array_equal(block[0], np.eye(1, 62, col)[0])
+            for k, beta in enumerate(betas):
+                assert np.max(np.abs(block[k] - _rotated_column(factor, col, beta))) < 1e-15
 
     def test_beta_out_of_range_raises(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,14 @@ class TestArgmax:
         with pytest.raises(ValueError):
             phase_argmax(res, grid_size=8)
 
+    def test_refuses_coefficients_not_real_in_the_quadrature_frame(self):
+        # the profile is read from one real FFT, which needs the twisted
+        # coefficients to share one quarter-turn phase
+        with pytest.raises(ValueError, match="quarter turn"):
+            phase_argmax(ResourceCoeffs(2, np.array([1.0, 1.0j, 1.0 + 1.0j])), grid_size=16)
+        rotated = ResourceCoeffs(4, 1j * _balanced(4, 1.0).coeffs)
+        assert phase_argmax(rotated) == phase_argmax(_balanced(4, 1.0))
+
 
 class TestArgmaxMap:
     def test_cells_match_single_points(self):
@@ -154,3 +162,7 @@ class TestArgmaxMap:
             phase_argmax_map(4, [0.5], [0.0], grid_size=4)
         with pytest.raises(ValueError):
             phase_argmax_map(4, [4.0], [0.0])
+
+    def test_memory_budget_refused_before_allocation(self):
+        with pytest.raises(ValueError, match="MiB limit"):
+            phase_argmax_map(4, [0.5], [0.0], grid_size=2**40)

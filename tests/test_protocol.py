@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsteleport import protocol
 from bsteleport.protocol import (
     DEFINED_MIN,
     UndefinedOutcomeError,
@@ -290,7 +291,10 @@ class TestFidelitySweep:
             n_in, m_in = split_total(4, m)
             for k, beta in enumerate(beta_axis):
                 resource = resource_coeffs(ResourceParams(n_in, m_in, beta))
-                assert grid.values[i, k] == average_fidelity(target, resource)
+                # a row's rotation is one BLAS product over the beta axis,
+                # whose rounding depends on the batch width
+                assert grid.values[i, k] == pytest.approx(
+                    average_fidelity(target, resource), abs=1e-14)
 
     def test_invalid_rows_warn_and_fill_nan(self):
         target = fock_coeffs(0, 1)
@@ -334,3 +338,13 @@ class TestFidelitySweep:
             fidelity_sweep(target, 2, [math.pi + 0.2], [0.0])
         with pytest.raises(ValueError):
             fidelity_sweep(target, -1, [0.5], [0.0])
+
+    def test_memory_budget_refused_before_allocation(self, monkeypatch):
+        # the factor alone would need 8 TB at this total; nothing is allocated
+        with pytest.raises(ValueError, match="above the 1024 MiB limit"):
+            fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
+        # the budget counts beta samples and m rows too
+        monkeypatch.setattr(protocol, "MAX_GRID_BYTES", 1000)
+        fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
+        with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
+            fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
