@@ -8,8 +8,6 @@ resulting conditional and average fidelities, including the two standard
 grid products over the splitter angle and the input imbalance.
 """
 
-from types import ModuleType as _ModuleType
-
 from .numerics import wigner_d_column_stable, wigner_d_direct
 from .oracle import (
     ResourceCheck,
@@ -57,6 +55,42 @@ from .states import (
 
 __version__ = "0.1.0"
 
-# every name imported above, and nothing else
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__ = [
+    "DEFINED_MIN",
+    "FidelityGrid",
+    "OutcomeDistribution",
+    "OutputState",
+    "PhaseProfile",
+    "ResourceCheck",
+    "ResourceCoeffs",
+    "ResourceParams",
+    "SectorHamiltonian",
+    "SizeLimitError",
+    "TargetCoeffs",
+    "TruncationError",
+    "UndefinedOutcomeError",
+    "average_fidelity",
+    "cat_coeffs",
+    "classical_baseline",
+    "coherent_coeffs",
+    "fidelity_given_q",
+    "fidelity_given_q_double_sum",
+    "fidelity_sweep",
+    "fock_coeffs",
+    "joint_phase_prob",
+    "number_sum_prob",
+    "outcome_distribution",
+    "output_state",
+    "phase_argmax",
+    "phase_argmax_map",
+    "phase_profile",
+    "protocol_brute_force",
+    "resource_coeffs",
+    "sector_unitary",
+    "sector_unitary_column",
+    "split_total",
+    "suggest_cutoff",
+    "verify_resource",
+    "wigner_d_column_stable",
+    "wigner_d_direct",
+]

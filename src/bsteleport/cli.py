@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -25,10 +26,10 @@ from .gridio import (
     grid_to_pgm_bytes,
 )
 from .oracle import verify_resource
-from .phase import DEFAULT_PHASE_GRID, phase_argmax_map
+from .phase import DEFAULT_PHASE_GRID, check_phase_map_size, phase_argmax_map
 from .protocol import (
-    _check_grid_size,
     average_fidelity,
+    check_sweep_size,
     classical_baseline,
     fidelity_sweep,
     outcome_distribution,
@@ -224,8 +225,7 @@ def _build_target(args):
     return builder(args.alpha, cutoff, tail_tol=args.tail_tol)
 
 
-def _params(args) -> ResourceParams:
-    """Resource inputs from --n-in/--m-in or --total/--m, with --beta."""
+def _resolve_pair(args) -> tuple[int, int]:
     by_pair = args.n_in is not None or args.m_in is not None
     by_sector = args.total is not None or args.m is not None
     if by_pair and by_sector:
@@ -233,14 +233,14 @@ def _params(args) -> ResourceParams:
     if by_pair:
         if args.n_in is None or args.m_in is None:
             _fail("--n-in and --m-in must be given together")
-        return ResourceParams(args.n_in, args.m_in, args.beta)
+        return args.n_in, args.m_in
     if by_sector:
         if args.total is None or args.m is None:
             _fail("--total and --m must be given together")
         split = split_total(args.total, args.m)
         if split is None:
             _fail(f"m={args.m:g} is incompatible with total={args.total}")
-        return ResourceParams(*split, args.beta)
+        return split
     raise _UsageError("resource inputs required: --n-in/--m-in or --total/--m")
 
 
@@ -270,30 +270,39 @@ def _m_range(args) -> tuple[float, float, int]:
 
 
 def _cmd_resource(args) -> int:
-    _emit(args, coeffs_to_csv_bytes(resource_coeffs(_params(args)).coeffs))
+    n_in, m_in = _resolve_pair(args)
+    params = ResourceParams(n_in, m_in, args.beta)
+    data = coeffs_to_csv_bytes(resource_coeffs(params).coeffs)
+    _emit(args, data)
     return 0
 
 
 def _cmd_distribution(args) -> int:
     target = _build_target(args)
-    resource = resource_coeffs(_params(args))
-    _emit(args, distribution_to_csv_bytes(outcome_distribution(target, resource)))
+    n_in, m_in = _resolve_pair(args)
+    resource = resource_coeffs(ResourceParams(n_in, m_in, args.beta))
+    data = distribution_to_csv_bytes(outcome_distribution(target, resource))
+    _emit(args, data)
     return 0
 
 
 def _cmd_fidelity(args) -> int:
     target = _build_target(args)
-    params = _params(args)
+    n_in, m_in = _resolve_pair(args)
+    params = ResourceParams(n_in, m_in, args.beta)
     resource = resource_coeffs(params)
     print(f"target={target.label} cutoff={target.cutoff}")
-    print(f"n_in={params.n_in} m_in={params.m_in} beta={_fmt(args.beta)}")
+    print(f"n_in={n_in} m_in={m_in} beta={_fmt(args.beta)}")
     print(f"average_fidelity={_fmt(average_fidelity(target, resource))}")
     print(f"classical_baseline={_fmt(classical_baseline(target, params))}")
     return 0
 
 
-def _grid_inputs(args, length: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Total, beta axis and m axis of a grid command; too large a grid is refused first."""
+def _grid_inputs(args, check_size) -> tuple[int, np.ndarray, np.ndarray]:
+    """Total, beta axis and m axis of a grid command.
+
+    check_size(total, n_beta, n_m) refuses too large a grid before the axes are built.
+    """
     if args.total is None:
         _fail("--total is required")
     if args.total < 0:
@@ -303,7 +312,7 @@ def _grid_inputs(args, length: int) -> tuple[int, np.ndarray, np.ndarray]:
     if args.beta_steps < 2:
         _fail("--beta-steps must be at least 2")
     lo, step, count = _m_range(args)
-    _check_grid_size(args.total, args.beta_steps, count, length)
+    check_size(args.total, args.beta_steps, count)
     beta_axis = math.pi * np.arange(1, args.beta_steps + 1, dtype=float) / (args.beta_steps + 1)
     return args.total, beta_axis, lo + step * np.arange(count, dtype=float)
 
@@ -329,12 +338,13 @@ def _write_grid(args, grid, scale: float) -> int:
 
 def _cmd_sweep(args) -> int:
     target = _build_target(args)
-    inputs = _grid_inputs(args, len(target.coeffs))
+    inputs = _grid_inputs(args, partial(check_sweep_size, target))
     return _write_grid(args, fidelity_sweep(target, *inputs), scale=1.0)
 
 
 def _cmd_phase_map(args) -> int:
-    grid = phase_argmax_map(*_grid_inputs(args, args.phi_grid), grid_size=args.phi_grid)
+    inputs = _grid_inputs(args, partial(check_phase_map_size, grid_size=args.phi_grid))
+    grid = phase_argmax_map(*inputs, grid_size=args.phi_grid)
     return _write_grid(args, grid, scale=math.pi / 2)
 
 

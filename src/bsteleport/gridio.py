@@ -19,15 +19,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _csv(header: str, rows) -> bytes:
-    return "\n".join([header, *rows, ""]).encode("ascii")
-
-
 def grid_to_csv_bytes(grid: FidelityGrid) -> bytes:
     """CSV with header beta,m,value; rows vary beta fastest within each m."""
-    return _csv("beta,m,value", (f"{_fmt(beta)},{_fmt(m)},{_fmt(grid.values[i, k])}"
-                                 for i, m in enumerate(grid.m_axis)
-                                 for k, beta in enumerate(grid.beta_axis)))
+    lines = ["beta,m,value"]
+    for i, m in enumerate(grid.m_axis):
+        for k, beta in enumerate(grid.beta_axis):
+            lines.append(f"{_fmt(beta)},{_fmt(m)},{_fmt(grid.values[i, k])}")
+    lines.append("")
+    return "\n".join(lines).encode("ascii")
 
 
 def grid_to_pgm_bytes(grid: FidelityGrid, scale: float = 1.0) -> bytes:
@@ -48,14 +47,22 @@ def grid_to_pgm_bytes(grid: FidelityGrid, scale: float = 1.0) -> bytes:
 
 def distribution_to_csv_bytes(dist: OutcomeDistribution) -> bytes:
     """CSV with header q,p,f; undefined fidelities serialize as nan."""
-    return _csv("q,p,f", (f"{q},{_fmt(dist.p[q - dist.q_min])},{_fmt(dist.f[q - dist.q_min])}"
-                          for q in range(dist.q_min, dist.q_max + 1)))
+    lines = ["q,p,f"]
+    for q in range(dist.q_min, dist.q_max + 1):
+        i = q - dist.q_min
+        lines.append(f"{q},{_fmt(dist.p[i])},{_fmt(dist.f[i])}")
+    lines.append("")
+    return "\n".join(lines).encode("ascii")
 
 
 def coeffs_to_csv_bytes(coeffs: np.ndarray) -> bytes:
     """CSV with header index,real,imag for a complex coefficient vector."""
-    return _csv("index,real,imag",
-                (f"{n},{_fmt(z.real)},{_fmt(z.imag)}" for n, z in enumerate(map(complex, coeffs))))
+    lines = ["index,real,imag"]
+    for n, z in enumerate(coeffs):
+        z = complex(z)
+        lines.append(f"{n},{_fmt(z.real)},{_fmt(z.imag)}")
+    lines.append("")
+    return "\n".join(lines).encode("ascii")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

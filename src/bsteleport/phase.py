@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _I_POW
-from .protocol import FidelityGrid, _grid
+from .protocol import FidelityGrid, _beta_chunk, _grid
 from .states import ResourceCoeffs, ResourceParams, resource_coeffs
 
 DEFAULT_PHASE_GRID = 4096
@@ -51,37 +51,30 @@ def joint_phase_prob(resource: ResourceCoeffs, phi_minus: float) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def _half_profile(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """Profile at phi_k = 2 pi k / K for k = 0..K/2, one row per row of coefficients.
-
-    The twisted coefficients are i^{n_in} times a real vector, read exactly
-    as Re + Im, so the profile is its |rfft|^2 and phi_{K-k} reads as phi_k.
-    """
+def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+    """Profile at phi_k = 2 pi k / K for k = 0..K-1, one row per row of coefficients."""
     if grid_size < MIN_PHASE_GRID:
         raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
     twisted = _twisted(coeffs)
-    if np.any(twisted.real) and np.any(twisted.imag):
-        raise ValueError("coefficients are not real up to a quarter turn in the quadrature frame")
-    x = twisted.real + twisted.imag
-    if x.shape[-1] > grid_size:
+    if twisted.shape[-1] > grid_size:
         # the kernel has period K in n, so coefficients beyond K fold onto n mod K
-        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, -x.shape[-1] % grid_size)])
-        x = x.reshape(x.shape[:-1] + (-1, grid_size)).sum(axis=-2)
-    z = np.fft.rfft(x, n=grid_size, axis=-1)
+        twisted = np.pad(twisted, [(0, 0)] * (twisted.ndim - 1) + [(0, -twisted.shape[-1] % grid_size)])
+        twisted = twisted.reshape(twisted.shape[:-1] + (-1, grid_size)).sum(axis=-2)
+    # k-th inverse-DFT entry is (1/K) sum_n e^{2pi i n k / K} c_n
+    z = grid_size * np.fft.ifft(twisted, n=grid_size, axis=-1)
     return z.real**2 + z.imag**2
 
 
 def phase_profile(params: ResourceParams, grid_size: int = DEFAULT_PHASE_GRID) -> PhaseProfile:
     """Profile of the phase-difference probability for one resource."""
-    half = _half_profile(resource_coeffs(params).coeffs, grid_size)
-    values = np.concatenate([half, half[1:(grid_size + 1) // 2][::-1]])
+    values = _profile_values(resource_coeffs(params).coeffs, grid_size)
     phi_axis = 2.0 * np.pi * np.arange(grid_size) / grid_size
     return PhaseProfile(phi_axis, values, params.beta, params.m, params.total)
 
 
 def _peak(coeffs: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Location and value of the profile maximum for each row of coefficients (see phase_argmax)."""
-    values = _half_profile(coeffs, grid_size)
+    values = _profile_values(coeffs, grid_size)
     v_max = values.max(axis=-1)
     idx = np.argmax(values >= v_max[..., None] * (1.0 - _ARGMAX_RTOL), axis=-1)
     return np.where(v_max > 0.0, 2.0 * np.pi * idx / grid_size, 0.0), v_max
@@ -106,3 +99,8 @@ def phase_argmax_map(total: int, beta_axis, m_axis, grid_size: int = DEFAULT_PHA
     if grid_size < MIN_PHASE_GRID:
         raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
     return _grid(total, beta_axis, m_axis, lambda block: _peak(block, grid_size)[0], grid_size, "phase-argmax")
+
+
+def check_phase_map_size(total: int, n_beta: int, n_m: int, grid_size: int = DEFAULT_PHASE_GRID) -> None:
+    """Raise ValueError if phase_argmax_map over axes of these lengths would exceed MAX_GRID_BYTES."""
+    _beta_chunk(total, n_beta, n_m, grid_size)

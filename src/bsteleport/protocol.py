@@ -23,8 +23,11 @@ from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 
 # outcomes with probability at or below this are treated as unobservable
 DEFINED_MIN = 1e-15
-# bytes a grid call may hold: the factor, one row's rotation and reduction blocks, the grid
+# bytes a grid call may hold: the factor, the grid and one chunk of a row
 MAX_GRID_BYTES = 1 << 30
+# bytes of rotation and reduction work in one chunk of a row's beta samples; the
+# phase map's FFT blocks ran ~1.7x slower as one 101-beta chunk than in chunks this size
+_CHUNK_BYTES = 1 << 23
 
 
 class UndefinedOutcomeError(ValueError):
@@ -139,31 +142,18 @@ def output_state(
     return OutputState(q, n_hi + 1, np.outer(amp, np.conj(amp)) / p)
 
 
-def _banded(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Full convolution of w with every column of x along x's first axis, with no Toeplitz matrix.
-
-    The loop runs over the columns of x (one np.convolve each) or over the
-    nonzero weights (one shifted, scaled copy of x each), whichever are fewer.
-    """
-    flat = x.reshape(len(x), -1)
-    out = np.zeros((len(w) + len(x) - 1, flat.shape[1]))
-    taps = np.flatnonzero(w)
-    if flat.shape[1] <= len(taps):
-        for c in range(flat.shape[1]):
-            out[:, c] = np.convolve(w, flat[:, c])
-    else:
-        for k in taps:
-            out[k:k + len(x)] += w[k] * flat
-    return out.reshape(out.shape[:1] + x.shape[1:])
-
-
 def _outcomes(target: TargetCoeffs, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, p f) over q for coefficients d (last axis n): one banded product with |d|^2, Re d, Im d."""
-    d = d.T  # n first; d has at most one leading axis
-    x = np.empty((len(d), 3) + d.shape[1:])
-    x[:, 0], x[:, 1], x[:, 2] = _abs2(d), d.real, d.imag
-    out = _banded(_abs2(target.coeffs), x)
-    return out[:, 0].T, (out[:, 1] ** 2 + out[:, 2] ** 2).T
+    """(p, p f) over q for coefficients d with n last: target weights convolved with |d|^2, Re d, Im d.
+
+    The sequences are laid end to end, each followed by cutoff zeros, so one
+    np.convolve serves them all without one reaching into the next; no
+    Toeplitz matrix is built.
+    """
+    w = _abs2(target.coeffs)
+    x = np.zeros((3,) + d.shape[:-1] + (len(w) + d.shape[-1] - 1,))
+    x[..., : d.shape[-1]] = _abs2(d), d.real, d.imag
+    out = np.convolve(w, x.ravel())[: x.size].reshape(x.shape)
+    return out[0], out[1] ** 2 + out[2] ** 2
 
 
 def _average(target: TargetCoeffs, d: np.ndarray) -> np.ndarray:
@@ -219,20 +209,27 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
     return n_in, total - n_in
 
 
-def _check_grid_size(total: int, n_beta: int, n_m: int, length: int) -> None:
-    """Refuse a grid over MAX_GRID_BYTES before allocating; length is the target's or the phase grid."""
+def _beta_chunk(total: int, n_beta: int, n_m: int, length: int) -> int:
+    """Beta samples per chunk of a grid row, refusing a grid over MAX_GRID_BYTES before allocating.
+
+    length is the row reduction's other axis: the target's length or the phase grid.
+    """
     dim = total + 1
-    need = 8 * (dim * (dim + 1) + n_beta * (8 * (2 * dim + length) + n_m))
+    per_beta = 64 * (2 * dim + length)  # rotation, resource and reduction blocks, with temporaries
+    chunk = max(1, min(n_beta, _CHUNK_BYTES // per_beta))
+    need = 8 * (dim * (dim + 1) + n_beta * n_m) + chunk * per_beta
     if need > MAX_GRID_BYTES:
         raise ValueError(f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs "
                          f"about {need / 2**20:.0f} MiB, above the {MAX_GRID_BYTES / 2**20:g} MiB limit")
+    return chunk
 
 
 def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) -> FidelityGrid:
     """One value per (m, beta) at fixed total, from one factor of the sector generator.
 
-    Each compatible m row is rotated as one resource block over the beta axis
-    and reduce_row turns it into one value per beta; other rows warn and stay NaN.
+    Each compatible m row is rotated as resource blocks over chunks of the beta
+    axis and reduce_row turns a block into one value per beta; other rows warn
+    and stay NaN.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
@@ -244,7 +241,7 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) ->
         raise ValueError("beta axis must lie in [0, pi]")
     if total < 0:
         raise ValueError("total must be non-negative")
-    _check_grid_size(total, len(beta_axis), len(m_axis), length)
+    chunk = _beta_chunk(total, len(beta_axis), len(m_axis), length)
 
     factor = _factor(total)
     values = np.full((len(m_axis), len(beta_axis)), np.nan)
@@ -253,7 +250,8 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) ->
         if split is None:
             warnings.warn(f"m={m:g} incompatible with total={total}; row marked invalid")
             continue
-        values[i] = reduce_row(_resource(factor, split[0], beta_axis))
+        for k in range(0, len(beta_axis), chunk):
+            values[i, k:k + chunk] = reduce_row(_resource(factor, split[0], beta_axis[k:k + chunk]))
     return FidelityGrid(beta_axis, m_axis, values, total, label)
 
 
@@ -264,3 +262,8 @@ def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> Fidel
     warning and filled with NaN.
     """
     return _grid(total, beta_axis, m_axis, partial(_average, target), len(target.coeffs), target.label)
+
+
+def check_sweep_size(target: TargetCoeffs, total: int, n_beta: int, n_m: int) -> None:
+    """Raise ValueError if fidelity_sweep over axes of these lengths would exceed MAX_GRID_BYTES."""
+    _beta_chunk(total, n_beta, n_m, len(target.coeffs))

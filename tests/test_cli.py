@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bsteleport import cli
 from bsteleport.cli import main
 from bsteleport.protocol import average_fidelity, classical_baseline
 from bsteleport.states import ResourceParams, cat_coeffs, resource_coeffs
@@ -239,6 +240,16 @@ class TestPhaseMapCommand:
         assert main(["phase-map", "--total", "2", "--phi-grid", str(2**40),
                      "--out-dir", str(tmp_path)]) == 1
         assert "MiB limit" in capsys.readouterr().err
+
+    def test_long_beta_axis_passes_the_budget(self, capsys, tmp_path, monkeypatch):
+        # the budget check passes and the grid call is reached (stubbed, not run)
+        def reached(total, beta_axis, m_axis, grid_size):
+            raise ValueError(f"grid call reached with {len(beta_axis)} x {len(m_axis)}")
+
+        monkeypatch.setattr(cli, "phase_argmax_map", reached)
+        assert main(["phase-map", "--total", "100", "--beta-steps", "4000",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "grid call reached with 4000 x 51" in capsys.readouterr().err
 
 
 class TestOutputRouting:

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from bsteleport import protocol
 from bsteleport.phase import (
     DEFAULT_PHASE_GRID,
     MIN_PHASE_GRID,
+    check_phase_map_size,
     joint_phase_prob,
     phase_argmax,
     phase_argmax_map,
@@ -120,13 +122,19 @@ class TestArgmax:
         with pytest.raises(ValueError):
             phase_argmax(res, grid_size=8)
 
-    def test_refuses_coefficients_not_real_in_the_quadrature_frame(self):
-        # the profile is read from one real FFT, which needs the twisted
-        # coefficients to share one quarter-turn phase
-        with pytest.raises(ValueError, match="quarter turn"):
-            phase_argmax(ResourceCoeffs(2, np.array([1.0, 1.0j, 1.0 + 1.0j])), grid_size=16)
-        rotated = ResourceCoeffs(4, 1j * _balanced(4, 1.0).coeffs)
-        assert phase_argmax(rotated) == phase_argmax(_balanced(4, 1.0))
+    def test_reads_any_coefficients_and_ignores_a_global_phase(self):
+        # coefficients need not come from resource_coeffs: the reading is the
+        # first largest grid value of the pointwise probability
+        res = ResourceCoeffs(2, np.array([1.0, 1.0j, 1.0 + 1.0j]))
+        direct = [joint_phase_prob(res, 2 * math.pi * k / 16) for k in range(16)]
+        phi_star, v_max = phase_argmax(res, grid_size=16)
+        assert phi_star == 2 * math.pi * int(np.argmax(direct)) / 16
+        assert v_max == pytest.approx(max(direct), rel=1e-12)
+        # a resource times a global phase is the same state and reads the same
+        for base in (_balanced(4, 1.0), resource_coeffs(ResourceParams(4, 2, 1.7))):
+            rotated = ResourceCoeffs(base.total, base.coeffs * np.exp(0.77j))
+            assert phase_argmax(rotated)[0] == phase_argmax(base)[0]
+            assert phase_argmax(rotated)[1] == pytest.approx(phase_argmax(base)[1], rel=1e-12)
 
 
 class TestArgmaxMap:
@@ -166,3 +174,21 @@ class TestArgmaxMap:
     def test_memory_budget_refused_before_allocation(self):
         with pytest.raises(ValueError, match="MiB limit"):
             phase_argmax_map(4, [0.5], [0.0], grid_size=2**40)
+        with pytest.raises(ValueError, match="MiB limit"):
+            check_phase_map_size(4, 1, 1, grid_size=2**40)
+
+    def test_long_beta_axis_is_not_refused(self):
+        # a row is worked in chunks of the beta axis, so its length costs only
+        # the output grid: 4000 or 10**6 beta samples on the fig-3 grid fit
+        check_phase_map_size(100, 4000, 51)
+        check_phase_map_size(100, 10**6, 51)
+        with pytest.raises(ValueError, match="MiB limit"):
+            check_phase_map_size(100, 10**7, 51)
+
+    def test_beta_chunks_agree_with_one_block(self, monkeypatch):
+        beta_axis = np.pi * np.arange(1, 8) / 8.0
+        whole = phase_argmax_map(10, beta_axis, [0.0, 2.0], grid_size=64)
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # one beta sample per chunk
+        assert protocol._beta_chunk(10, len(beta_axis), 2, 64) == 1
+        chunked = phase_argmax_map(10, beta_axis, [0.0, 2.0], grid_size=64)
+        assert np.array_equal(whole.values, chunked.values)

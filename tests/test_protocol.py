@@ -348,3 +348,16 @@ class TestFidelitySweep:
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
+        with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
+            protocol.check_sweep_size(fock_coeffs(0, 0), 2, 3, 2)
+
+    def test_beta_chunks_agree_with_one_block(self, monkeypatch):
+        # a long beta axis is rotated and reduced in chunks; the chunk width
+        # changes only the BLAS rounding
+        target = cat_coeffs(1.0, 6, tail_tol=1e-4)
+        beta_axis = np.pi * np.arange(1, 8) / 8.0
+        whole = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * 64 * (2 * 9 + len(target.coeffs)))
+        assert protocol._beta_chunk(8, len(beta_axis), 2, len(target.coeffs)) == 3
+        chunked = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
+        assert np.max(np.abs(whole.values - chunked.values)) < 1e-14
