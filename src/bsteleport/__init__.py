@@ -8,10 +8,9 @@ resulting conditional and average fidelities, including the two standard
 grid products over the splitter angle and the input imbalance.
 """
 
-from .numerics import wigner_d_column_stable, wigner_d_direct
+from .numerics import wigner_d_column_stable
 from .oracle import (
     ResourceCheck,
-    SectorHamiltonian,
     SizeLimitError,
     protocol_brute_force,
     sector_unitary,
@@ -20,7 +19,6 @@ from .oracle import (
 )
 from .phase import (
     PhaseProfile,
-    joint_phase_prob,
     phase_argmax,
     phase_argmax_map,
     phase_profile,
@@ -34,7 +32,6 @@ from .protocol import (
     average_fidelity,
     classical_baseline,
     fidelity_given_q,
-    fidelity_given_q_double_sum,
     fidelity_sweep,
     number_sum_prob,
     outcome_distribution,
@@ -64,7 +61,6 @@ __all__ = [
     "ResourceCheck",
     "ResourceCoeffs",
     "ResourceParams",
-    "SectorHamiltonian",
     "SizeLimitError",
     "TargetCoeffs",
     "TruncationError",
@@ -74,10 +70,8 @@ __all__ = [
     "classical_baseline",
     "coherent_coeffs",
     "fidelity_given_q",
-    "fidelity_given_q_double_sum",
     "fidelity_sweep",
     "fock_coeffs",
-    "joint_phase_prob",
     "number_sum_prob",
     "outcome_distribution",
     "output_state",
@@ -92,5 +86,4 @@ __all__ = [
     "suggest_cutoff",
     "verify_resource",
     "wigner_d_column_stable",
-    "wigner_d_direct",
 ]

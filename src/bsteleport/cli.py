@@ -25,7 +25,7 @@ from .gridio import (
     grid_to_csv_bytes,
     grid_to_pgm_bytes,
 )
-from .oracle import verify_resource
+from .oracle import MAX_VERIFY_TOTAL, verify_resource
 from .phase import DEFAULT_PHASE_GRID, check_phase_map_size, phase_argmax_map
 from .protocol import (
     average_fidelity,
@@ -152,7 +152,7 @@ def _build_parser() -> _Parser:
                           description="Compare closed-form resource coefficients with the directly "
                                       "exponentiated sector Hamiltonian over a range of inputs.")
     sub.add_argument("--max-total", type=int, default=40,
-                     help="largest total photon number checked (default 40)")
+                     help=f"largest total photon number checked, at most {MAX_VERIFY_TOTAL} (default 40)")
     sub.add_argument("--betas", default=None,
                      help="comma-separated beta values (default 0.1,0.5,pi/2,2.5,3.0)")
     sub.add_argument("--tol", type=float, default=1e-10,
@@ -349,8 +349,8 @@ def _cmd_phase_map(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.max_total < 0:
-        _fail("--max-total must be non-negative")
+    if not 0 <= args.max_total <= MAX_VERIFY_TOTAL:
+        _fail(f"--max-total must lie in 0..{MAX_VERIFY_TOTAL}")
     if args.betas is None:
         betas = list(DEFAULT_ORACLE_BETAS)
     else:
@@ -368,8 +368,7 @@ def _cmd_oracle_check(args) -> int:
     for total in range(args.max_total + 1):
         for n_in in range(total + 1):
             for beta in betas:
-                report = verify_resource(ResourceParams(n_in, total - n_in, beta),
-                                         max_total=args.max_total, tol=args.tol)
+                report = verify_resource(ResourceParams(n_in, total - n_in, beta), tol=args.tol)
                 checks += 1
                 worst_deficit = max(worst_deficit, 1.0 - report.overlap_modulus)
                 worst_deviation = max(worst_deviation, report.max_deviation)

@@ -1,11 +1,9 @@
-"""Rotation-matrix columns D^j_{m',m}(beta) by two independent routes.
+"""Rotation-matrix columns D^j_{m',m}(beta) of the spin-j sector.
 
-The library route factors the tridiagonal generator of the spin-j
-sector once and rotates any column from that factorization; it stays
-accurate at any j.  The reference route, wigner_d_direct, is the
-explicit factorial sum, reliable up to j ~ 20 in double precision before
-cancellation sets in; tests compare the two.  Half-integer indices are
-carried as doubled integers so parity checks are exact.
+The tridiagonal generator of the sector is factored once and any column
+is rotated from that factorization; it stays accurate at any j.
+Half-integer indices are carried as doubled integers so parity checks
+are exact.
 """
 
 from __future__ import annotations
@@ -17,6 +15,8 @@ from scipy.linalg import eigh_tridiagonal
 
 # exact unit phases i^k for k = 0..3
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
+# bytes a call may hold: a point's factor, or a grid's factor, output and one chunk of a row
+MAX_GRID_BYTES = 1 << 30
 
 
 def _cumlog_factorials(n_max: int, head=(0.0,), carry: float = 0.0) -> tuple[np.ndarray, float]:
@@ -70,61 +70,6 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def wigner_d_direct(j, m_row, m_col, beta: float) -> float:
-    """Rotation coefficient D^j_{m',m}(beta) by the explicit factorial sum.
-
-    Each term is evaluated as sign * exp(log magnitude) against the
-    log-factorial array and accumulated in increasing s with compensated
-    summation, so the result is bit-reproducible.  Subject to catastrophic
-    cancellation for j beyond ~20; use wigner_d_column_stable there.
-    """
-    two_j, two_m_row, two_m_col = _doubled(j, m_row=m_row, m_col=m_col)
-    beta = _check_beta(beta)
-    sin_half = math.sin(beta / 2)
-    if sin_half == 0.0:
-        # identity rotation: the single surviving s term is exactly delta
-        return 1.0 if two_m_row == two_m_col else 0.0
-    cos_half = math.cos(beta / 2)
-
-    jm_row = (two_j + two_m_row) // 2  # j + m'
-    jm_row_c = (two_j - two_m_row) // 2  # j - m'
-    jm_col = (two_j + two_m_col) // 2  # j + m
-    jm_col_c = (two_j - two_m_col) // 2  # j - m
-    row_less_col = (two_m_row - two_m_col) // 2  # m' - m
-
-    lf = _log_factorials(two_j)
-    prefactor = 0.5 * (lf[jm_row] + lf[jm_row_c] + lf[jm_col] + lf[jm_col_c])
-    log_cos = math.log(cos_half) if cos_half > 0.0 else -math.inf
-    log_sin = math.log(sin_half)
-
-    s_min = max(0, -row_less_col)
-    s_max = min(jm_col, jm_row_c)
-    total = 0.0
-    carry = 0.0
-    for s in range(s_min, s_max + 1):
-        cos_exp = two_j - row_less_col - 2 * s
-        sin_exp = row_less_col + 2 * s
-        log_mag = (
-            prefactor
-            + (cos_exp * log_cos if cos_exp else 0.0)
-            + sin_exp * log_sin
-            - lf[jm_col - s]
-            - lf[s]
-            - lf[row_less_col + s]
-            - lf[jm_row_c - s]
-        )
-        if log_mag == -math.inf:
-            continue
-        term = math.exp(log_mag)
-        if (row_less_col + s) % 2:
-            term = -term
-        y = term - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 def _offdiagonal(two_j: int) -> np.ndarray:
     """Couplings 0.5*sqrt((j-m')(j+m'+1)) between neighbouring m' levels."""
     r = np.arange(two_j, dtype=float)
@@ -136,7 +81,12 @@ def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
 
     G is the real symmetric matrix with zero diagonal and the
     _offdiagonal couplings.  Every rotation of the sector reuses it.
+    A factor over MAX_GRID_BYTES is refused before anything is allocated.
     """
+    need = 8 * (two_j + 1) * (two_j + 2)
+    if need > MAX_GRID_BYTES:
+        raise ValueError(f"total {two_j} needs a factor of about {need / 2**20:.0f} MiB, "
+                         f"above the {MAX_GRID_BYTES / 2**20:g} MiB limit")
     return eigh_tridiagonal(np.zeros(two_j + 1), _offdiagonal(two_j))
 
 

@@ -12,6 +12,7 @@ their algebra.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,27 +30,16 @@ class SizeLimitError(ValueError):
     """Problem too large for the brute-force route."""
 
 
-@dataclass(frozen=True, eq=False)
-class SectorHamiltonian:
-    """Beam-splitter generator restricted to one total-photon sector.
+def _couplings(total: int) -> np.ndarray:
+    """Off-diagonal entries of the beam-splitter generator on the sector of fixed total.
 
     The sector basis is |n, total - n> for n = 0..total; the generator is
     real symmetric tridiagonal with zero diagonal.
     """
-
-    total: int
-    offdiag: np.ndarray
-
-    @classmethod
-    def build(cls, total: int) -> "SectorHamiltonian":
-        if total < 0:
-            raise ValueError("total must be non-negative")
-        n = np.arange(total, dtype=float)
-        return cls(total, 0.5 * np.sqrt((n + 1.0) * (total - n)))
-
-    @property
-    def dimension(self) -> int:
-        return self.total + 1
+    if total < 0:
+        raise ValueError("total must be non-negative")
+    n = np.arange(total, dtype=float)
+    return 0.5 * np.sqrt((n + 1.0) * (total - n))
 
 
 def sector_unitary(total: int, beta: float) -> np.ndarray:
@@ -58,7 +48,7 @@ def sector_unitary(total: int, beta: float) -> np.ndarray:
     expm([[0, -B], [B, 0]]) with B = beta H is [[cos B, -sin B], [sin B, cos B]],
     so its left column block gives cos B + i sin B in real arithmetic.
     """
-    off = SectorHamiltonian.build(total).offdiag
+    off = _couplings(total)
     b = beta * (np.diag(off, 1) + np.diag(off, -1))
     block = expm(np.block([[np.zeros_like(b), -b], [b, np.zeros_like(b)]]))
     return block[: total + 1, : total + 1] + 1j * block[total + 1 :, : total + 1]
@@ -91,6 +81,8 @@ def verify_resource(
     residual phase records any global-phase difference between the routes;
     max_deviation is entrywise after removing that phase.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol={tol} must be finite and non-negative")
     if params.total > max_total:
         raise SizeLimitError(f"total={params.total} exceeds max_total={max_total}")
     column = sector_unitary_column(params)

@@ -38,24 +38,11 @@ class PhaseProfile:
     total: int
 
 
-def _twisted(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients in the quadrature frame: entry n gains an exact i^n."""
-    n = np.arange(coeffs.shape[-1])
-    return _I_POW[n % 4] * coeffs
-
-
-def joint_phase_prob(resource: ResourceCoeffs, phi_minus: float) -> float:
-    """Probability density (unnormalized) of phase-difference value phi_minus."""
-    n = np.arange(resource.total + 1)
-    z = complex(np.dot(np.exp(1j * phi_minus * n), _twisted(resource.coeffs)))
-    return z.real * z.real + z.imag * z.imag
-
-
 def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """Profile at phi_k = 2 pi k / K for k = 0..K-1, one row per row of coefficients."""
     if grid_size < MIN_PHASE_GRID:
         raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
-    twisted = _twisted(coeffs)
+    twisted = _I_POW[np.arange(coeffs.shape[-1]) % 4] * coeffs  # entry n gains an exact i^n
     if twisted.shape[-1] > grid_size:
         # the kernel has period K in n, so coefficients beyond K fold onto n mod K
         twisted = np.pad(twisted, [(0, 0)] * (twisted.ndim - 1) + [(0, -twisted.shape[-1] % grid_size)])

@@ -18,13 +18,11 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import _factor
+from .numerics import MAX_GRID_BYTES, _factor
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 
 # outcomes with probability at or below this are treated as unobservable
 DEFINED_MIN = 1e-15
-# bytes a grid call may hold: the factor, the grid and one chunk of a row
-MAX_GRID_BYTES = 1 << 30
 # bytes of rotation and reduction work in one chunk of a row's beta samples; the
 # phase map's FFT blocks ran ~1.7x slower as one 101-beta chunk than in chunks this size
 _CHUNK_BYTES = 1 << 23
@@ -100,23 +98,6 @@ def number_sum_prob(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> f
 def fidelity_given_q(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> float:
     """Teleportation fidelity conditioned on outcome q."""
     return _observable(target, resource, q)[1]
-
-
-def fidelity_given_q_double_sum(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> complex:
-    """Conditional fidelity as the literal double sum, for cross-checking.
-
-    Returned as complex so tests can confirm the imaginary part vanishes
-    rather than having it silently discarded.
-    """
-    p = _observable(target, resource, q)[0]
-    n_lo, n_hi = max(0, q - target.cutoff), min(q, resource.total)
-    w = _abs2(target.coeffs)
-    d = resource.coeffs
-    acc = 0.0 + 0.0j
-    for n in range(n_lo, n_hi + 1):
-        for n2 in range(n_lo, n_hi + 1):
-            acc += w[q - n] * w[q - n2] * d[n] * np.conj(d[n2])
-    return acc / p
 
 
 def output_state(

@@ -20,7 +20,8 @@ from .numerics import _I_POW, _factor, _log_factorials, _rotated_column
 
 DEFAULT_TAIL_TOL = 1e-12
 _MAX_AUTO_CUTOFF = 4096
-# longest weight range _tails evaluates: |alpha| up to about 2000
+# longest weight range _tails evaluates, and the largest cutoff a builder takes:
+# |alpha| up to about 2000
 _MAX_TAIL_RANGE = 1 << 22
 
 
@@ -125,10 +126,16 @@ def _tails(kind: str, a: float) -> np.ndarray:
     return tails
 
 
-def _poisson_family(kind: str, alpha, cutoff: int, tail_tol: float) -> TargetCoeffs:
-    """Cat or coherent state of amplitude alpha, truncated and renormalized."""
+def _check_cutoff(cutoff: int) -> None:
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
+    if cutoff > _MAX_TAIL_RANGE:
+        raise ValueError(f"cutoff={cutoff} exceeds the largest supported cutoff {_MAX_TAIL_RANGE}")
+
+
+def _poisson_family(kind: str, alpha, cutoff: int, tail_tol: float) -> TargetCoeffs:
+    """Cat or coherent state of amplitude alpha, truncated and renormalized."""
+    _check_cutoff(cutoff)
     alpha = complex(alpha)
     label = f"{kind}({alpha.real:g})" if alpha.imag == 0 else f"{kind}({alpha:g})"
     if alpha == 0:
@@ -176,6 +183,7 @@ def fock_coeffs(k: int, cutoff: int) -> TargetCoeffs:
         raise ValueError("k must be non-negative")
     if k > cutoff:
         raise ValueError(f"k={k} exceeds cutoff={cutoff}")
+    _check_cutoff(cutoff)
     raw = np.zeros(cutoff + 1, dtype=complex)
     raw[k] = 1.0
     return TargetCoeffs(raw, f"fock({k})")

@@ -1,0 +1,113 @@
+"""Slow reference routes that the tests compare the library against.
+
+Each route recomputes its quantity from the defining formula and shares
+no arithmetic with the route it checks: the rotation coefficient as the
+explicit factorial sum, the outcome probability and conditional fidelity
+as literal sums over photon numbers, and the phase-difference density as
+a direct Fourier sum at one reading.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from bsteleport.numerics import _I_POW, _check_beta, _doubled, _log_factorials
+from bsteleport.protocol import DEFINED_MIN, UndefinedOutcomeError
+from bsteleport.states import ResourceCoeffs, TargetCoeffs
+
+
+def wigner_d_direct(j, m_row, m_col, beta: float) -> float:
+    """Rotation coefficient D^j_{m',m}(beta) by the explicit factorial sum.
+
+    Each term is evaluated as sign * exp(log magnitude) against the
+    log-factorial array and accumulated in increasing s with compensated
+    summation, so the result is bit-reproducible.  Subject to catastrophic
+    cancellation for j beyond ~20; use wigner_d_column_stable there.
+    """
+    two_j, two_m_row, two_m_col = _doubled(j, m_row=m_row, m_col=m_col)
+    beta = _check_beta(beta)
+    sin_half = math.sin(beta / 2)
+    if sin_half == 0.0:
+        # identity rotation: the single surviving s term is exactly delta
+        return 1.0 if two_m_row == two_m_col else 0.0
+    cos_half = math.cos(beta / 2)
+
+    jm_row = (two_j + two_m_row) // 2  # j + m'
+    jm_row_c = (two_j - two_m_row) // 2  # j - m'
+    jm_col = (two_j + two_m_col) // 2  # j + m
+    jm_col_c = (two_j - two_m_col) // 2  # j - m
+    row_less_col = (two_m_row - two_m_col) // 2  # m' - m
+
+    lf = _log_factorials(two_j)
+    prefactor = 0.5 * (lf[jm_row] + lf[jm_row_c] + lf[jm_col] + lf[jm_col_c])
+    log_cos = math.log(cos_half) if cos_half > 0.0 else -math.inf
+    log_sin = math.log(sin_half)
+
+    s_min = max(0, -row_less_col)
+    s_max = min(jm_col, jm_row_c)
+    total = 0.0
+    carry = 0.0
+    for s in range(s_min, s_max + 1):
+        cos_exp = two_j - row_less_col - 2 * s
+        sin_exp = row_less_col + 2 * s
+        log_mag = (
+            prefactor
+            + (cos_exp * log_cos if cos_exp else 0.0)
+            + sin_exp * log_sin
+            - lf[jm_col - s]
+            - lf[s]
+            - lf[row_less_col + s]
+            - lf[jm_row_c - s]
+        )
+        if log_mag == -math.inf:
+            continue
+        term = math.exp(log_mag)
+        if (row_less_col + s) % 2:
+            term = -term
+        y = term - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def _pair_range(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> range:
+    """Sender photon numbers n paired with target number q - n in outcome q."""
+    return range(max(0, q - target.cutoff), min(q, resource.total) + 1)
+
+
+def number_sum_prob_literal(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> float:
+    """Probability of outcome q as the literal sum of |c_{q-n}|^2 |d_n|^2 over n."""
+    c, d = target.coeffs, resource.coeffs
+    return float(sum(abs(c[q - n]) ** 2 * abs(d[n]) ** 2 for n in _pair_range(target, resource, q)))
+
+
+def fidelity_given_q_double_sum(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> complex:
+    """Conditional fidelity as the literal double sum over n and n'.
+
+    Returned as complex so tests can confirm the imaginary part vanishes
+    rather than having it silently discarded.
+    """
+    p = number_sum_prob_literal(target, resource, q)
+    if p <= DEFINED_MIN:
+        raise UndefinedOutcomeError(f"outcome q={q} has probability {p:.3e}")
+    w = np.abs(target.coeffs) ** 2
+    d = resource.coeffs
+    acc = 0.0 + 0.0j
+    for n in _pair_range(target, resource, q):
+        for n2 in _pair_range(target, resource, q):
+            acc += w[q - n] * w[q - n2] * d[n] * np.conj(d[n2])
+    return acc / p
+
+
+def joint_phase_prob(resource: ResourceCoeffs, phi_minus: float) -> float:
+    """Probability density (unnormalized) of phase-difference value phi_minus.
+
+    The squared modulus of sum_n e^{i phi n} i^n d_n, summed directly at
+    one reading.
+    """
+    n = np.arange(resource.total + 1)
+    z = complex(np.dot(np.exp(1j * phi_minus * n), _I_POW[n % 4] * resource.coeffs))
+    return z.real * z.real + z.imag * z.imag

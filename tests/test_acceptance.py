@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bsteleport.gridio import grid_to_csv_bytes
-from bsteleport.numerics import wigner_d_column_stable, wigner_d_direct
+from bsteleport.numerics import wigner_d_column_stable
 from bsteleport.oracle import protocol_brute_force, verify_resource
 from bsteleport.phase import phase_argmax, phase_argmax_map
 from bsteleport.protocol import (
@@ -28,6 +28,7 @@ from bsteleport.protocol import (
     output_state,
 )
 from bsteleport.states import ResourceParams, cat_coeffs, coherent_coeffs, fock_coeffs, resource_coeffs
+from reference import wigner_d_direct
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 # 101 interior beta samples; index 50 lands exactly on pi/2

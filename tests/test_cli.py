@@ -78,6 +78,12 @@ class TestResourceCommand:
         by_sector = capsys.readouterr().out
         assert by_pair == by_sector
 
+    def test_memory_budget(self, capsys):
+        assert main(["resource", "--total", "40000", "--m", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "MiB limit" in captured.err
+        assert captured.out == ""
+
     def test_csv_file_output(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         assert main(["resource", "--n-in", "2", "--m-in", "2", "--csv", str(out)]) == 0
@@ -106,6 +112,11 @@ class TestDistributionCommand:
         assert main(["distribution", "--target", "fock", "--k", "-1",
                      "--n-in", "1", "--m-in", "1"]) == 1
 
+    def test_oversized_cutoff(self, capsys):
+        assert main(["distribution", "--target", "coherent", "--cutoff", "100000000",
+                     "--total", "2", "--m", "0"]) == 1
+        assert "largest supported cutoff" in capsys.readouterr().err
+
     def test_truncation_failure_is_a_value_error(self, capsys):
         assert main(["distribution", "--target", "cat", "--alpha", "1.0", "--cutoff", "6",
                      "--n-in", "1", "--m-in", "1"]) == 1
@@ -132,6 +143,13 @@ class TestFidelityCommand:
         assert float(fields["average_fidelity"]) == average_fidelity(target, resource)
         assert float(fields["classical_baseline"]) == classical_baseline(target)
 
+
+    def test_oversized_cutoff(self, capsys):
+        for extra in (["--target", "fock", "--k", "10000000000"], ["--cutoff", "10000000000000"]):
+            assert main(["fidelity", *extra, "--total", "2", "--m", "0"]) == 1
+            captured = capsys.readouterr()
+            assert "largest supported cutoff" in captured.err
+            assert captured.out == ""
 
     def test_suggested_cutoff_at_the_tail_boundary(self, capsys):
         assert main(["fidelity", "--target", "cat", "--alpha", "3.8544326731278717",
@@ -338,6 +356,21 @@ class TestOracleCheckCommand:
     def test_bad_betas(self, capsys):
         assert main(["oracle-check", "--betas", "0.2,zebra"]) == 1
         assert main(["oracle-check", "--betas", ","]) == 1
+
+    def test_max_total_above_the_cap(self, capsys):
+        # refused before the scan, which verify_resource would otherwise run unbounded
+        for value in ("61", "100000000", "-1"):
+            assert main(["oracle-check", "--max-total", value, "--betas", "0.1"]) == 1
+            captured = capsys.readouterr()
+            assert "--max-total must lie in 0..60" in captured.err
+            assert captured.out == ""
+
+    def test_invalid_tolerance(self, capsys):
+        for value in ("nan", "-1", "inf"):
+            assert main(["oracle-check", "--max-total", "1", "--tol", value]) == 1
+            captured = capsys.readouterr()
+            assert "must be finite and non-negative" in captured.err
+            assert "FAIL" not in captured.out
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["oracle-check", "--max-total", "3", "--tol", "0"]) == 2

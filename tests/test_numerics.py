@@ -13,10 +13,10 @@ from bsteleport.numerics import (
     _log_factorials,
     _rotated_column,
     wigner_d_column_stable,
-    wigner_d_direct,
 )
 from bsteleport.oracle import sector_unitary_column
 from bsteleport.states import ResourceParams
+from reference import wigner_d_direct
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 

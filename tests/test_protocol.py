@@ -14,7 +14,6 @@ from bsteleport.protocol import (
     average_fidelity,
     classical_baseline,
     fidelity_given_q,
-    fidelity_given_q_double_sum,
     fidelity_sweep,
     number_sum_prob,
     outcome_distribution,
@@ -29,6 +28,7 @@ from bsteleport.states import (
     fock_coeffs,
     resource_coeffs,
 )
+from reference import fidelity_given_q_double_sum, number_sum_prob_literal
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 
@@ -80,7 +80,9 @@ class TestFidelityRoutes:
         rng = np.random.default_rng(7)
         for target, resource in _instances(rng, 20):
             for q in range(target.cutoff + resource.total + 1):
-                if number_sum_prob(target, resource, q) <= DEFINED_MIN:
+                p = number_sum_prob(target, resource, q)
+                assert p == pytest.approx(number_sum_prob_literal(target, resource, q), abs=1e-14)
+                if p <= DEFINED_MIN:
                     continue
                 fast = fidelity_given_q(target, resource, q)
                 slow = fidelity_given_q_double_sum(target, resource, q)

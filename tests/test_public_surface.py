@@ -28,6 +28,26 @@ TRACED_ATTRIBUTES = (
 )
 
 
+# the whole package surface: README names, benchmark names and the types they
+# take, return or raise; the cross-check routes live in tests/reference.py
+PUBLIC_NAMES = (
+    "DEFINED_MIN", "FidelityGrid", "OutcomeDistribution", "OutputState", "PhaseProfile",
+    "ResourceCheck", "ResourceCoeffs", "ResourceParams", "SizeLimitError", "TargetCoeffs",
+    "TruncationError", "UndefinedOutcomeError", "average_fidelity", "cat_coeffs",
+    "classical_baseline", "coherent_coeffs", "fidelity_given_q", "fidelity_sweep",
+    "fock_coeffs", "number_sum_prob", "outcome_distribution", "output_state", "phase_argmax",
+    "phase_argmax_map", "phase_profile", "protocol_brute_force", "resource_coeffs",
+    "sector_unitary", "sector_unitary_column", "split_total", "suggest_cutoff",
+    "verify_resource", "wigner_d_column_stable",
+)
+
+
+def test_package_surface_is_pinned():
+    assert set(bsteleport.__all__) == set(PUBLIC_NAMES)
+    assert len(bsteleport.__all__) == len(PUBLIC_NAMES)
+    assert all(hasattr(bsteleport, name) for name in PUBLIC_NAMES)
+
+
 @pytest.mark.parametrize("name", sorted(set(README_NAMES + BENCHMARK_NAMES)))
 def test_package_exports(name):
     assert name in bsteleport.__all__

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from bsteleport import numerics
 from bsteleport.states import (
+    _MAX_TAIL_RANGE,
     ResourceParams,
     TruncationError,
     cat_coeffs,
@@ -94,6 +96,16 @@ class TestResourceCoeffs:
         assert r.total == 7
         assert len(r.coeffs) == 8
 
+    def test_memory_budget_refused_before_allocation(self, monkeypatch):
+        # the factor alone would need ~12 GiB at this total; nothing is allocated
+        with pytest.raises(ValueError, match="above the 1024 MiB limit"):
+            resource_coeffs(ResourceParams(20000, 20000, 1.0))
+        # the point route reads the grids' budget: 96 bytes hold the total-2 factor only
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 8 * 3 * 4)
+        resource_coeffs(ResourceParams(1, 1, 1.0))
+        with pytest.raises(ValueError, match="total 3 needs a factor"):
+            resource_coeffs(ResourceParams(2, 1, 1.0))
+
 
 class TestCatCoeffs:
     def test_odd_entries_exactly_zero(self):
@@ -129,6 +141,13 @@ class TestCatCoeffs:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
             cat_coeffs(1.0, -1)
+
+    def test_cutoff_beyond_the_weight_range_refused(self):
+        # refused before the coefficient and log-factorial arrays are built
+        for builder, cutoff in ((cat_coeffs, 10**13), (coherent_coeffs, 10**8),
+                                (cat_coeffs, _MAX_TAIL_RANGE + 1)):
+            with pytest.raises(ValueError, match="largest supported cutoff"):
+                builder(3.0, cutoff)
 
     def test_complex_amplitude_phases(self):
         c_rot = cat_coeffs(1.0j, 12, tail_tol=1e-9).coeffs
@@ -189,6 +208,11 @@ class TestFockCoeffs:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             fock_coeffs(-1, 2)
+
+    def test_cutoff_beyond_the_weight_range_refused(self):
+        for k, cutoff in ((10**10, 10**10), (0, _MAX_TAIL_RANGE + 1)):
+            with pytest.raises(ValueError, match="largest supported cutoff"):
+                fock_coeffs(k, cutoff)
 
 
 class TestSuggestCutoff:
