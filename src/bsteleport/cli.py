@@ -51,17 +51,9 @@ DEFAULT_ORACLE_BETAS = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 _SWITCH_KEYS = {"verbose"}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
-
-
-def _fail(message: str) -> None:
-    raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _add_target_options(sub) -> None:
@@ -171,22 +163,22 @@ def _config_tokens(path: str) -> list[str]:
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
-        _fail(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}")
     with handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                _fail(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip().replace("_", "-")
             value = value.strip()
             if not key:
-                _fail(f"{path}:{lineno}: empty key")
+                raise ValueError(f"{path}:{lineno}: empty key")
             if key in _SWITCH_KEYS:
                 if value.lower() not in ("true", "false"):
-                    _fail(f"{path}:{lineno}: {key} takes true or false")
+                    raise ValueError(f"{path}:{lineno}: {key} takes true or false")
                 if value.lower() == "true":
                     tokens.append(f"--{key}")
             else:
@@ -212,12 +204,10 @@ def _emit(args, data: bytes) -> None:
 
 def _build_target(args):
     if args.target == "fock":
-        if args.k < 0:
-            _fail("--k must be non-negative")
         cutoff = args.k if args.cutoff is None else args.cutoff
         return fock_coeffs(args.k, cutoff)
     if not math.isfinite(args.alpha) or args.alpha < 0:
-        _fail("--alpha must be finite and non-negative")
+        raise ValueError("--alpha must be finite and non-negative")
     builder = cat_coeffs if args.target == "cat" else coherent_coeffs
     cutoff = args.cutoff
     if cutoff is None:
@@ -229,19 +219,19 @@ def _resolve_pair(args) -> tuple[int, int]:
     by_pair = args.n_in is not None or args.m_in is not None
     by_sector = args.total is not None or args.m is not None
     if by_pair and by_sector:
-        _fail("give either --n-in/--m-in or --total/--m, not both")
+        raise ValueError("give either --n-in/--m-in or --total/--m, not both")
     if by_pair:
         if args.n_in is None or args.m_in is None:
-            _fail("--n-in and --m-in must be given together")
+            raise ValueError("--n-in and --m-in must be given together")
         return args.n_in, args.m_in
     if by_sector:
         if args.total is None or args.m is None:
-            _fail("--total and --m must be given together")
+            raise ValueError("--total and --m must be given together")
         split = split_total(args.total, args.m)
         if split is None:
-            _fail(f"m={args.m:g} is incompatible with total={args.total}")
+            raise ValueError(f"m={args.m:g} is incompatible with total={args.total}")
         return split
-    raise _UsageError("resource inputs required: --n-in/--m-in or --total/--m")
+    raise ValueError("resource inputs required: --n-in/--m-in or --total/--m")
 
 
 def _m_range(args) -> tuple[float, float, int]:
@@ -250,22 +240,22 @@ def _m_range(args) -> tuple[float, float, int]:
         return (0.0 if args.total % 2 == 0 else 0.5), 1.0, args.total // 2 + 1
     parts = args.m_range.split(":")
     if len(parts) not in (2, 3):
-        _fail("--m-range must be lo:hi or lo:hi:step")
+        raise ValueError("--m-range must be lo:hi or lo:hi:step")
     try:
         lo = float(parts[0])
         hi = float(parts[1])
         step = float(parts[2]) if len(parts) == 3 else 1.0
     except ValueError:
-        _fail(f"--m-range has a non-numeric part: {args.m_range!r}")
+        raise ValueError(f"--m-range has a non-numeric part: {args.m_range!r}")
     if not all(math.isfinite(x) for x in (lo, hi, step)):
-        _fail(f"--m-range must be finite: {args.m_range!r}")
+        raise ValueError(f"--m-range must be finite: {args.m_range!r}")
     if step <= 0:
-        _fail("--m-range step must be positive")
+        raise ValueError("--m-range step must be positive")
     if hi < lo:
-        _fail("--m-range upper bound is below the lower bound")
+        raise ValueError("--m-range upper bound is below the lower bound")
     span = (hi - lo) / step + 1e-9
     if not math.isfinite(span):
-        _fail(f"--m-range has too many points: {args.m_range!r}")
+        raise ValueError(f"--m-range has too many points: {args.m_range!r}")
     return lo, step, int(span) + 1
 
 
@@ -304,13 +294,13 @@ def _grid_inputs(args, check_size) -> tuple[int, np.ndarray, np.ndarray]:
     check_size(total, n_beta, n_m) refuses too large a grid before the axes are built.
     """
     if args.total is None:
-        _fail("--total is required")
+        raise ValueError("--total is required")
     if args.total < 0:
-        _fail("--total must be non-negative")
+        raise ValueError("--total must be non-negative")
     if args.workers is not None and args.workers < 1:
-        _fail("--workers must be at least 1")
+        raise ValueError("--workers must be at least 1")
     if args.beta_steps < 2:
-        _fail("--beta-steps must be at least 2")
+        raise ValueError("--beta-steps must be at least 2")
     lo, step, count = _m_range(args)
     check_size(args.total, args.beta_steps, count)
     beta_axis = math.pi * np.arange(1, args.beta_steps + 1, dtype=float) / (args.beta_steps + 1)
@@ -350,16 +340,16 @@ def _cmd_phase_map(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     if not 0 <= args.max_total <= MAX_VERIFY_TOTAL:
-        _fail(f"--max-total must lie in 0..{MAX_VERIFY_TOTAL}")
+        raise ValueError(f"--max-total must lie in 0..{MAX_VERIFY_TOTAL}")
     if args.betas is None:
         betas = list(DEFAULT_ORACLE_BETAS)
     else:
         try:
             betas = [float(part) for part in args.betas.split(",") if part.strip()]
         except ValueError:
-            _fail(f"--betas has a non-numeric part: {args.betas!r}")
+            raise ValueError(f"--betas has a non-numeric part: {args.betas!r}")
         if not betas:
-            _fail("--betas is empty")
+            raise ValueError("--betas is empty")
 
     checks = 0
     failures = 0
@@ -399,9 +389,6 @@ def main(argv=None) -> int:
             argv = argv[:1] + _config_tokens(args.config) + argv[1:]
             args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -76,6 +76,16 @@ def _offdiagonal(two_j: int) -> np.ndarray:
     return 0.5 * np.sqrt((two_j - r) * (r + 1.0))
 
 
+def _check_budget(need: int, what: str) -> None:
+    """Refuse a request of need bytes over MAX_GRID_BYTES; what is the message up to the size.
+
+    The need is rounded up to whole MiB, so a refused need never reads as the limit.
+    """
+    if need > MAX_GRID_BYTES:
+        raise ValueError(f"{what} about {-(-need // 2**20)} MiB, "
+                         f"above the {MAX_GRID_BYTES / 2**20:g} MiB limit")
+
+
 def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v) of the tridiagonal generator G of spin j.
 
@@ -83,10 +93,7 @@ def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     _offdiagonal couplings.  Every rotation of the sector reuses it.
     A factor over MAX_GRID_BYTES is refused before anything is allocated.
     """
-    need = 8 * (two_j + 1) * (two_j + 2)
-    if need > MAX_GRID_BYTES:
-        raise ValueError(f"total {two_j} needs a factor of about {need / 2**20:.0f} MiB, "
-                         f"above the {MAX_GRID_BYTES / 2**20:g} MiB limit")
+    _check_budget(8 * (two_j + 1) * (two_j + 2), f"total {two_j} needs a factor of")
     return eigh_tridiagonal(np.zeros(two_j + 1), _offdiagonal(two_j))
 
 

@@ -12,14 +12,13 @@ their algebra.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .protocol import DEFINED_MIN, OutputState, UndefinedOutcomeError
-from .states import ResourceParams, TargetCoeffs, resource_coeffs
+from .states import ResourceParams, TargetCoeffs, _check_tol, resource_coeffs
 
 MAX_VERIFY_TOTAL = 60
 MAX_BRUTE_TOTAL = 8
@@ -70,21 +69,16 @@ class ResourceCheck:
     passed: bool
 
 
-def verify_resource(
-    params: ResourceParams,
-    max_total: int = MAX_VERIFY_TOTAL,
-    tol: float = 1e-10,
-) -> ResourceCheck:
+def verify_resource(params: ResourceParams, tol: float = 1e-10) -> ResourceCheck:
     """Check the closed-form coefficients against exp(i beta H).
 
     Passes when the unit-vector overlap modulus is within tol of one.  The
     residual phase records any global-phase difference between the routes;
     max_deviation is entrywise after removing that phase.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol={tol} must be finite and non-negative")
-    if params.total > max_total:
-        raise SizeLimitError(f"total={params.total} exceeds max_total={max_total}")
+    _check_tol(tol)
+    if params.total > MAX_VERIFY_TOTAL:
+        raise SizeLimitError(f"total={params.total} exceeds {MAX_VERIFY_TOTAL}")
     column = sector_unitary_column(params)
     coeffs = resource_coeffs(params).coeffs
     overlap = complex(np.vdot(column, coeffs))

@@ -12,11 +12,12 @@ coefficients, and sampling it on a uniform grid is an inverse DFT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _I_POW
+from .numerics import _I_POW, _check_budget
 from .protocol import FidelityGrid, _beta_chunk, _grid
 from .states import ResourceCoeffs, ResourceParams, resource_coeffs
 
@@ -42,6 +43,9 @@ def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """Profile at phi_k = 2 pi k / K for k = 0..K-1, one row per row of coefficients."""
     if grid_size < MIN_PHASE_GRID:
         raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
+    # 64 bytes per element of the coefficient block and of the output, as _beta_chunk counts them
+    _check_budget(64 * (coeffs.size + math.prod(coeffs.shape[:-1]) * grid_size),
+                  f"a phase grid of {grid_size} points over {coeffs.size} coefficients needs")
     twisted = _I_POW[np.arange(coeffs.shape[-1]) % 4] * coeffs  # entry n gains an exact i^n
     if twisted.shape[-1] > grid_size:
         # the kernel has period K in n, so coefficients beyond K fold onto n mod K

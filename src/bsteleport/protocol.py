@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import MAX_GRID_BYTES, _factor
+from .numerics import _check_budget, _factor
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 
 # outcomes with probability at or below this are treated as unobservable
@@ -198,10 +198,8 @@ def _beta_chunk(total: int, n_beta: int, n_m: int, length: int) -> int:
     dim = total + 1
     per_beta = 64 * (2 * dim + length)  # rotation, resource and reduction blocks, with temporaries
     chunk = max(1, min(n_beta, _CHUNK_BYTES // per_beta))
-    need = 8 * (dim * (dim + 1) + n_beta * n_m) + chunk * per_beta
-    if need > MAX_GRID_BYTES:
-        raise ValueError(f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs "
-                         f"about {need / 2**20:.0f} MiB, above the {MAX_GRID_BYTES / 2**20:g} MiB limit")
+    _check_budget(8 * (dim * (dim + 1) + n_beta * n_m) + chunk * per_beta,
+                  f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
     return chunk
 
 

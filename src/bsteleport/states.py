@@ -133,9 +133,16 @@ def _check_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff={cutoff} exceeds the largest supported cutoff {_MAX_TAIL_RANGE}")
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is NaN, infinite or negative; zero is valid."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance {tol} must be finite and non-negative")
+
+
 def _poisson_family(kind: str, alpha, cutoff: int, tail_tol: float) -> TargetCoeffs:
     """Cat or coherent state of amplitude alpha, truncated and renormalized."""
     _check_cutoff(cutoff)
+    _check_tol(tail_tol)
     alpha = complex(alpha)
     label = f"{kind}({alpha.real:g})" if alpha.imag == 0 else f"{kind}({alpha:g})"
     if alpha == 0:
@@ -154,7 +161,7 @@ def _poisson_family(kind: str, alpha, cutoff: int, tail_tol: float) -> TargetCoe
         raw = np.exp(log_mag + 1j * cmath.phase(alpha) * m)
     tails = _tails(kind, a)
     tail = tails[cutoff] if cutoff < len(tails) else 0.0
-    if not tail <= tail_tol:  # a NaN tolerance is refused too
+    if tail > tail_tol:
         raise TruncationError(
             f"{label}: truncated tail {tail:.3e} exceeds tolerance {tail_tol:.1e}; "
             "increase the cutoff"
@@ -198,6 +205,7 @@ def suggest_cutoff(alpha, kind: str = "cat", tol: float = DEFAULT_TAIL_TOL) -> i
     """
     if kind not in ("cat", "coherent"):
         raise ValueError(f"unknown state kind {kind!r}")
+    _check_tol(tol)
     a = abs(complex(alpha))
     if a == 0:
         return 0

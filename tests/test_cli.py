@@ -151,6 +151,15 @@ class TestFidelityCommand:
             assert "largest supported cutoff" in captured.err
             assert captured.out == ""
 
+    def test_invalid_tail_tolerance(self, capsys):
+        # refused with or without a cutoff to suggest
+        for value in ("nan", "-1", "inf"):
+            for extra in ([], ["--cutoff", "40"]):
+                assert main(["fidelity", "--tail-tol", value, *extra, "--total", "2", "--m", "0"]) == 1
+                captured = capsys.readouterr()
+                assert "must be finite and non-negative" in captured.err
+                assert captured.out == ""
+
     def test_suggested_cutoff_at_the_tail_boundary(self, capsys):
         assert main(["fidelity", "--target", "cat", "--alpha", "3.8544326731278717",
                      "--total", "4", "--m", "0"]) == 0
@@ -167,6 +176,8 @@ class TestSweepCommand:
     def test_requires_total(self, capsys):
         assert main(["sweep", "--target", "fock", "--k", "0"]) == 1
         assert "--total is required" in capsys.readouterr().err
+        assert main(["sweep", "--target", "fock", "--k", "0", "--total", "-1"]) == 1
+        assert "--total must be non-negative" in capsys.readouterr().err
 
     def test_beta_steps_floor(self, capsys, tmp_path):
         assert main(["sweep", "--target", "fock", "--k", "0", "--total", "2",
@@ -209,6 +220,17 @@ class TestSweepCommand:
         # half-integer rows are incompatible with an even total
         assert all(row[2] == "nan" for row in rows if row[1] == "0.5")
         assert all(row[2] != "nan" for row in rows if row[1] == "1")
+
+    def test_no_valid_cells(self, tmp_path, capsys):
+        # every m row is incompatible: the files are written, all NaN
+        with pytest.warns(UserWarning, match="incompatible"):
+            code = main(["sweep", "--target", "fock", "--k", "0", "--total", "4",
+                         "--m-range", "0.25:0.25", "--beta-steps", "3", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip().endswith("no valid cells")
+        header, rows = _read_csv(tmp_path / "fidelity_sweep.csv")
+        assert len(rows) == 3
+        assert all(row[2] == "nan" for row in rows)
 
     def test_bad_m_range(self, capsys, tmp_path):
         base = ["sweep", "--target", "fock", "--k", "0", "--total", "2",
@@ -326,6 +348,9 @@ class TestConfigFile:
         cfg.write_text("n_in 2\n")
         assert main(["resource", "--config", str(cfg)]) == 1
         assert "key=value" in capsys.readouterr().err
+        cfg.write_text("=3\n")
+        assert main(["resource", "--config", str(cfg)]) == 1
+        assert "empty key" in capsys.readouterr().err
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["resource", "--config", str(tmp_path / "absent.cfg")]) == 1
@@ -376,3 +401,7 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--max-total", "3", "--tol", "0"]) == 2
         out = capsys.readouterr().out
         assert out.strip().endswith("FAIL")
+        # verbose: one line per failing check, 3 input pairs x 5 betas
+        assert main(["oracle-check", "--max-total", "1", "--tol", "0", "--verbose"]) == 2
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert sum(line.startswith("FAIL n_in=") for line in lines) == 15

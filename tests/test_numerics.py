@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsteleport import numerics
 from bsteleport.numerics import (
     _cumlog_factorials,
     _factor,
@@ -15,7 +16,9 @@ from bsteleport.numerics import (
     wigner_d_column_stable,
 )
 from bsteleport.oracle import sector_unitary_column
-from bsteleport.states import ResourceParams
+from bsteleport.phase import phase_argmax
+from bsteleport.protocol import check_sweep_size
+from bsteleport.states import ResourceParams, fock_coeffs, resource_coeffs
 from reference import wigner_d_direct
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
@@ -298,3 +301,24 @@ class TestStableRoute:
             wigner_d_column_stable(1, 0, -0.1)
         with pytest.raises(ValueError):
             wigner_d_direct(1, 0, 0, math.pi + 0.1)
+
+
+class TestMemoryBudget:
+    def test_one_budget_for_points_and_grids(self, monkeypatch):
+        # the total-2 factor takes 96 bytes, the smallest total-2 grid 552 and a
+        # 16-point phase reading of its 3 coefficients 1216
+        resource = resource_coeffs(ResourceParams(1, 1, 1.0))
+        checks = (lambda: resource_coeffs(ResourceParams(1, 1, 1.0)),
+                  lambda: check_sweep_size(fock_coeffs(0, 0), 2, 1, 1),
+                  lambda: phase_argmax(resource, grid_size=16))
+        for check in checks:
+            check()
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 95)
+        for check in checks:
+            with pytest.raises(ValueError, match="MiB limit"):
+                check()
+
+    def test_refused_need_reads_above_the_limit(self):
+        # total 11584 needs 1073790480 bytes, 1024.04 MiB: rounded up, not to the limit
+        with pytest.raises(ValueError, match="about 1025 MiB, above the 1024 MiB limit"):
+            _factor(11584)

@@ -122,6 +122,13 @@ class TestArgmax:
         with pytest.raises(ValueError):
             phase_argmax(res, grid_size=8)
 
+    def test_memory_budget_refused_before_allocation(self):
+        # a 2**36-point grid would need over 1 TiB; nothing is allocated
+        with pytest.raises(ValueError, match="MiB limit"):
+            phase_argmax(_balanced(2, 1.0), grid_size=2**36)
+        with pytest.raises(ValueError, match="MiB limit"):
+            phase_profile(ResourceParams(1, 1, 1.0), grid_size=2**36)
+
     def test_reads_any_coefficients_and_ignores_a_global_phase(self):
         # coefficients need not come from resource_coeffs: the reading is the
         # first largest grid value of the pointwise probability
@@ -170,6 +177,9 @@ class TestArgmaxMap:
             phase_argmax_map(4, [0.5], [0.0], grid_size=4)
         with pytest.raises(ValueError):
             phase_argmax_map(4, [4.0], [0.0])
+        # every row incompatible: no row reaches the point check, the map's own floor refuses
+        with pytest.raises(ValueError, match="at least"):
+            phase_argmax_map(4, [0.5], [0.25], grid_size=8)
 
     def test_memory_budget_refused_before_allocation(self):
         with pytest.raises(ValueError, match="MiB limit"):

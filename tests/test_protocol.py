@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsteleport import protocol
+from bsteleport import numerics, protocol
 from bsteleport.protocol import (
     DEFINED_MIN,
     UndefinedOutcomeError,
@@ -64,6 +64,11 @@ class TestNumberSumProb:
         target = fock_coeffs(1, 1)
         resource = resource_coeffs(ResourceParams(1, 0, 0.7))
         assert number_sum_prob(target, resource, 5) == 0.0
+
+    def test_negative_outcome_refused(self):
+        resource = resource_coeffs(ResourceParams(1, 0, 0.7))
+        with pytest.raises(ValueError, match="q must be non-negative"):
+            number_sum_prob(fock_coeffs(1, 1), resource, -1)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
@@ -346,7 +351,7 @@ class TestFidelitySweep:
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
         # the budget counts beta samples and m rows too
-        monkeypatch.setattr(protocol, "MAX_GRID_BYTES", 1000)
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1000)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])

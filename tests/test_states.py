@@ -268,3 +268,21 @@ class TestSuggestCutoff:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             suggest_cutoff(1.0, "squeezed")
+
+    def test_automatic_cutoff_is_capped(self):
+        # at alpha = 64 the tail first drops below 1e-12 beyond cutoff 4096;
+        # an explicit cutoff still builds
+        with pytest.raises(TruncationError, match="no cutoff up to 4096"):
+            suggest_cutoff(64.0)
+        cat_coeffs(64.0, 4600)
+
+    def test_invalid_tolerance_refused(self):
+        for tol in (math.nan, math.inf, -math.inf, -1.0):
+            for call in (lambda: suggest_cutoff(1.0, "cat", tol),
+                         lambda: cat_coeffs(1.0, 20, tail_tol=tol),
+                         lambda: coherent_coeffs(1.0, 20, tail_tol=tol)):
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    call()
+        # zero is a valid tolerance: the tail is exactly zero at the end of the weight range
+        for kind, builder in (("cat", cat_coeffs), ("coherent", coherent_coeffs)):
+            builder(1.0, suggest_cutoff(1.0, kind, 0.0), tail_tol=0.0)
