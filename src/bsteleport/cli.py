@@ -25,7 +25,7 @@ from .gridio import (
     grid_to_csv_bytes,
     grid_to_pgm_bytes,
 )
-from .oracle import MAX_VERIFY_TOTAL, verify_resource
+from .oracle import MAX_VERIFY_TOTAL, _overlap_deficit, verify_resource
 from .phase import DEFAULT_PHASE_GRID, check_phase_map_size, phase_argmax_map
 from .protocol import (
     average_fidelity,
@@ -360,7 +360,7 @@ def _cmd_oracle_check(args) -> int:
             for beta in betas:
                 report = verify_resource(ResourceParams(n_in, total - n_in, beta), tol=args.tol)
                 checks += 1
-                worst_deficit = max(worst_deficit, 1.0 - report.overlap_modulus)
+                worst_deficit = max(worst_deficit, _overlap_deficit(report.overlap_modulus))
                 worst_deviation = max(worst_deviation, report.max_deviation)
                 if not report.passed:
                     failures += 1

@@ -1,9 +1,11 @@
-"""Rotation-matrix columns D^j_{m',m}(beta) of the spin-j sector.
+"""Rotation-matrix columns D^j_{m',m}(beta) of the spin-j sector, by two routes.
 
-The tridiagonal generator of the sector is factored once and any column
-is rotated from that factorization; it stays accurate at any j.
-Half-integer indices are carried as doubled integers so parity checks
-are exact.
+A grid factors the tridiagonal generator of its sector once and rotates
+every column it needs from that factorization (_factor, _rotated_column).
+A single point solves for its one column as the eigenvector of the
+rotated generator at its exact eigenvalue (_column), in O(j) time and
+memory.  Both stay accurate at any j.  Half-integer indices are carried
+as doubled integers so parity checks are exact.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from scipy.linalg import eigh_tridiagonal
 
 # exact unit phases i^k for k = 0..3
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
-# bytes a call may hold: a point's factor, or a grid's factor, output and one chunk of a row
+# bytes a call may hold: a point's solve, or a grid's factor, output and one chunk of a row
 MAX_GRID_BYTES = 1 << 30
+# bytes a point holds per level of its sector: tracemalloc saw at most 86 for a
+# resource_coeffs call at totals 10^3 to 10^5
+_POINT_BYTES = 128
 
 
 def _cumlog_factorials(n_max: int, head=(0.0,), carry: float = 0.0) -> tuple[np.ndarray, float]:
@@ -118,13 +123,50 @@ def _rotated_column(factor: tuple[np.ndarray, np.ndarray], col: int, beta) -> np
     return out
 
 
-def wigner_d_column_stable(j, m_col, beta: float) -> np.ndarray:
-    """Full column D^j_{m',m}(beta), m' = -j..j, via eigendecomposition.
+def _column(two_j: int, col: int, beta: float) -> np.ndarray:
+    """Real column `col` of D(beta) at one beta, by one eigenvector solve in O(two_j).
 
-    The rotation is built from the eigendecomposition of the tridiagonal
-    generator in real arithmetic, with the exact i^k twist folded into
-    signs; nothing imaginary is computed.  Accurate at any j.
+    In the twisted frame the column is the eigenvector of the real symmetric
+    tridiagonal T = cos(beta) (n - j) + sin(beta) G for the exact eigenvalue
+    col - j, T's eigenvalue number col from the bottom; LAPACK stebz + stein
+    find it without factoring T.  stein's sign is arbitrary.  The exact
+    column has v[0] > 0 for beta in (0, pi], but an edge entry can be a true
+    1e-2600 that reads as noise, so the sign is fixed at the first entry k of
+    at least half the largest magnitude: v[i+1] / v[i] = -p[i] / e[i] with
+    e > 0, so v[k] has the sign (-1)^(number of positive Sturm pivots
+    p[0..k-1] of T - (col - j)).
+    A point over MAX_GRID_BYTES is refused before anything is allocated;
+    beta == 0 gives the exact delta.
+    """
+    dim = two_j + 1
+    _check_budget(_POINT_BYTES * dim, f"total {two_j} needs a point solve of")
+    if beta == 0.0:
+        return np.eye(1, dim, col)[0]
+    d = math.cos(beta) * (np.arange(dim) - 0.5 * two_j)
+    e = math.sin(beta) * _offdiagonal(two_j)
+    v = eigh_tridiagonal(d, e, select="i", select_range=(col, col))[1][:, 0]
+    mag = np.abs(v)
+    k = int(np.argmax(mag >= 0.5 * mag.max()))
+    lam = col - 0.5 * two_j
+    e2 = e * e
+    # as in LAPACK's Sturm count, a pivot smaller than pivmin counts as -pivmin
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    flips = 0
+    p = float(d[0]) - lam
+    for dk, ek2 in zip(memoryview(d[1:k + 1]), memoryview(e2[:k])):
+        if abs(p) < pivmin:
+            p = -pivmin
+        flips += p > 0.0
+        p = (dk - lam) - ek2 / p
+    return -v if (v[k] < 0.0) != (flips % 2 == 1) else v
+
+
+def wigner_d_column_stable(j, m_col, beta: float) -> np.ndarray:
+    """Full column D^j_{m',m}(beta), m' = -j..j, by the point route's one eigenvector solve.
+
+    Real arithmetic, O(j) time and memory, accurate at any j; grids factor
+    the generator once instead (_factor, _rotated_column).
     """
     beta = _check_beta(beta)
     two_j, two_m = _doubled(j, m_col=m_col)
-    return _rotated_column(_factor(two_j), (two_m + two_j) // 2, beta)
+    return _column(two_j, (two_m + two_j) // 2, beta)

@@ -69,12 +69,18 @@ class ResourceCheck:
     passed: bool
 
 
+def _overlap_deficit(modulus: float) -> float:
+    """Distance of an overlap modulus from one; rounding can put the modulus above one."""
+    return abs(1.0 - modulus)
+
+
 def verify_resource(params: ResourceParams, tol: float = 1e-10) -> ResourceCheck:
     """Check the closed-form coefficients against exp(i beta H).
 
-    Passes when the unit-vector overlap modulus is within tol of one.  The
-    residual phase records any global-phase difference between the routes;
-    max_deviation is entrywise after removing that phase.
+    Passes when the unit-vector overlap modulus is within tol of one, on
+    either side.  The residual phase records any global-phase difference
+    between the routes; max_deviation is entrywise after removing that
+    phase.
     """
     _check_tol(tol)
     if params.total > MAX_VERIFY_TOTAL:
@@ -90,7 +96,7 @@ def verify_resource(params: ResourceParams, tol: float = 1e-10) -> ResourceCheck
         overlap_modulus=modulus,
         max_deviation=deviation,
         residual_phase=cmath.phase(phase),
-        passed=bool(1.0 - modulus < tol),
+        passed=bool(_overlap_deficit(modulus) < tol),
     )
 
 

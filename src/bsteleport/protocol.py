@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import _check_budget, _factor
+from .numerics import _check_budget, _factor, _rotated_column
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 
 # outcomes with probability at or below this are treated as unobservable
@@ -230,7 +230,8 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) ->
             warnings.warn(f"m={m:g} incompatible with total={total}; row marked invalid")
             continue
         for k in range(0, len(beta_axis), chunk):
-            values[i, k:k + chunk] = reduce_row(_resource(factor, split[0], beta_axis[k:k + chunk]))
+            column = _rotated_column(factor, split[0], beta_axis[k:k + chunk])
+            values[i, k:k + chunk] = reduce_row(_resource(column, split[0]))
     return FidelityGrid(beta_axis, m_axis, values, total, label)
 
 

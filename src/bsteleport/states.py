@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _I_POW, _factor, _log_factorials, _rotated_column
+from .numerics import _I_POW, _column, _log_factorials
 
 DEFAULT_TAIL_TOL = 1e-12
 _MAX_AUTO_CUTOFF = 4096
@@ -83,9 +83,8 @@ class TargetCoeffs:
         return len(self.coeffs) - 1
 
 
-def _resource(factor: tuple[np.ndarray, np.ndarray], n_in: int, beta) -> np.ndarray:
-    """Resource coefficients (last axis n, one row per beta) from the generator's factorization."""
-    column = _rotated_column(factor, n_in, beta)
+def _resource(column: np.ndarray, n_in: int) -> np.ndarray:
+    """Resource coefficients (last axis n) from real rotation columns of input n_in."""
     n = np.arange(column.shape[-1])
     return _I_POW[(n_in - n) % 4] * column  # e^{-i(pi/2)(n - n_in)}
 
@@ -93,10 +92,12 @@ def _resource(factor: tuple[np.ndarray, np.ndarray], n_in: int, beta) -> np.ndar
 def resource_coeffs(params: ResourceParams) -> ResourceCoeffs:
     """Entangled-resource coefficient vector for the given inputs.
 
-    The magnitude profile is the stable rotation column at j = total/2;
-    the quarter-turn phases are applied exactly (no trig roundoff).
+    The magnitude profile is the rotation column at j = total/2, solved
+    as one eigenvector in O(total) time and memory; the quarter-turn
+    phases are applied exactly (no trig roundoff).
     """
-    return ResourceCoeffs(params.total, _resource(_factor(params.total), params.n_in, params.beta))
+    column = _column(params.total, params.n_in, params.beta)
+    return ResourceCoeffs(params.total, _resource(column, params.n_in))
 
 
 def _tails(kind: str, a: float) -> np.ndarray:

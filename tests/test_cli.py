@@ -79,7 +79,8 @@ class TestResourceCommand:
         assert by_pair == by_sector
 
     def test_memory_budget(self, capsys):
-        assert main(["resource", "--total", "40000", "--m", "0"]) == 1
+        # a point solve holds 128 bytes per level, so 10^8 levels need ~12 GiB
+        assert main(["resource", "--total", "100000000", "--m", "0"]) == 1
         captured = capsys.readouterr()
         assert "MiB limit" in captured.err
         assert captured.out == ""

@@ -1,28 +1,24 @@
-"""Physical invariants of the rotation kernel at totals beyond the oracle's reach.
+"""Physical invariants of the rotation kernels at totals beyond the oracle's reach.
 
 The expm oracle stops at MAX_VERIFY_TOTAL; these identities of the real
-rotation matrix d^j(beta) hold at every j, so they check the kernel up to
-total 2000.  Entries are indexed by a = j + m' (row) and b = j + m
-(column), which is the sender photon number of the resource.
+rotation matrix d^j(beta) hold at every j, so they check both routes,
+the grid kernel and the point solve, up to total 2000.  Entries are
+indexed by a = j + m' (row) and b = j + m (column), which is the sender
+photon number of the resource.
 """
 
-import functools
 import math
 
 import numpy as np
 import pytest
 
-from bsteleport.numerics import _I_POW, _factor, _rotated_column
+from bsteleport.numerics import _I_POW, _rotated_column
+from routes import factored, over_routes
 
-LARGE_TOTALS = (1, 2, 7, 100, 501, 2000)
+LARGE_TOTALS = {str(t): (t,) for t in (1, 2, 7, 100, 501, 2000)}
 BETAS = (0.4, 2.3)
 # entries of d are at most 1; this leaves ~1e3 eps of room at total 2000
 ENTRY_TOL = 1e-12
-
-
-@functools.lru_cache(maxsize=None)
-def _factored(total: int):
-    return _factor(total)
 
 
 def _picks(total: int, count: int = 2) -> list[int]:
@@ -32,41 +28,41 @@ def _picks(total: int, count: int = 2) -> list[int]:
     return sorted({0, total // 2, total, *extra})
 
 
-def _columns(total: int, cols, beta: float) -> np.ndarray:
-    return np.column_stack([_rotated_column(_factored(total), c, beta) for c in cols])
+def _columns(column, total: int, cols, beta: float) -> np.ndarray:
+    return np.column_stack([column(total, c, beta) for c in cols])
 
 
-@pytest.mark.parametrize("total", LARGE_TOTALS)
-def test_transpose_symmetry(total):
+@over_routes("column, total", LARGE_TOTALS)
+def test_transpose_symmetry(column, total):
     # d_{m'm}(beta) = (-1)^{m'-m} d_{mm'}(beta)
     cols = _picks(total)
     for beta in BETAS:
-        sub = _columns(total, cols, beta)[cols, :]
+        sub = _columns(column, total, cols, beta)[cols, :]
         a = np.array(cols)
         sign = (-1.0) ** (a[:, None] - a[None, :])
         assert np.max(np.abs(sub - sign * sub.T)) < ENTRY_TOL
 
 
-@pytest.mark.parametrize("total", LARGE_TOTALS)
-def test_reflection(total):
+@over_routes("column, total", LARGE_TOTALS)
+def test_reflection(column, total):
     # d^j_{m'm}(pi - beta) = (-1)^{j+m'} d^j_{m',-m}(beta)
     cols = _picks(total)
     rows = np.arange(total + 1)
     for beta in BETAS:
-        reflected = _columns(total, cols, math.pi - beta)
-        mirrored = _columns(total, [total - c for c in cols], beta)
+        reflected = _columns(column, total, cols, math.pi - beta)
+        mirrored = _columns(column, total, [total - c for c in cols], beta)
         assert np.max(np.abs(reflected - ((-1.0) ** rows)[:, None] * mirrored)) < ENTRY_TOL
 
 
-@pytest.mark.parametrize("total", LARGE_TOTALS)
-def test_sender_photon_moments(total):
+@over_routes("column, total", LARGE_TOTALS)
+def test_sender_photon_moments(column, total):
     # <n> = j + m cos(beta); <m'^2> = m^2 cos^2 + (j(j+1) - m^2) sin^2 / 2
     j = total / 2
     m_row = np.arange(total + 1) - j
     for beta in BETAS:
         c, s = math.cos(beta), math.sin(beta)
         for col in _picks(total):
-            p = _rotated_column(_factored(total), col, beta) ** 2
+            p = column(total, col, beta) ** 2
             m = col - j
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert p @ (m_row + j) == pytest.approx(j + m * c, abs=1e-12 * max(1, total))
@@ -74,13 +70,13 @@ def test_sender_photon_moments(total):
             assert p @ m_row**2 == pytest.approx(second, abs=1e-12 * max(1, total) ** 2)
 
 
-@pytest.mark.parametrize("total", (1, 4, 17, 60, 200))
-def test_composition_law(total):
+@over_routes("column, total", {str(t): (t,) for t in (1, 4, 17, 60, 200)})
+def test_composition_law(column, total):
     # D(b1) D(b2) = D(b1 + b2) while b1 + b2 stays in [0, pi]
     every = range(total + 1)
     for b1, b2 in ((0.3, 1.7), (math.pi / 2, math.pi / 2)):
-        product = _columns(total, every, b1) @ _columns(total, every, b2)
-        assert np.max(np.abs(product - _columns(total, every, b1 + b2))) < ENTRY_TOL
+        product = _columns(column, total, every, b1) @ _columns(column, total, every, b2)
+        assert np.max(np.abs(product - _columns(column, total, every, b1 + b2))) < ENTRY_TOL
 
 
 @pytest.mark.parametrize("total", (100, 2000))
@@ -88,7 +84,7 @@ def test_discarded_imaginary_residue_is_small(total):
     # the kernel works in real arithmetic; the complex twisted column built
     # from the same factorization must be real up to rounding (measured 5e-15
     # at 100, 3e-14 at 2000) and agree with the kernel
-    w, v = _factored(total)
+    w, v = factored(total)
     worst = 0.0
     for beta in BETAS:
         for col in _picks(total):

@@ -1,5 +1,6 @@
-"""Checks for the log-factorial array and both rotation-coefficient routes."""
+"""Checks for the log-factorial array and the rotation-coefficient routes."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsteleport import numerics
+from bsteleport import numerics, protocol, states
 from bsteleport.numerics import (
+    _column,
     _cumlog_factorials,
     _factor,
     _log_factorials,
@@ -20,6 +22,7 @@ from bsteleport.phase import phase_argmax
 from bsteleport.protocol import check_sweep_size
 from bsteleport.states import ResourceParams, fock_coeffs, resource_coeffs
 from reference import wigner_d_direct
+from routes import grid_column, over_routes
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 
@@ -33,7 +36,20 @@ J50_COLUMN_REFERENCE = {
     50: 0.28211564541368272278,
 }
 
+# (row, col, beta) entries of d at large totals; the first two cases alternate
+# beta between 0.7 and 2.0, the others sit near 0 and near pi, where a column
+# is nearly a delta and its far entries are tiny
+EXTENDED_PICKS = {
+    "1000-picks0": (1000, ((0, 1000, 0.7), (377, 621, 2.0), (850, 700, 0.7))),
+    "2000-picks1": (2000, ((1999, 3, 0.7), (1500, 1000, 2.0), (1800, 1500, 0.7))),
+    "1000-edges": (1000, ((500, 500, 1e-3), (10, 0, 0.02), (600, 400, math.pi - 1e-3),
+                          (0, 1000, math.pi - 0.02))),
+    "2000-edges": (2000, ((999, 1000, 1e-3), (1990, 1995, 0.02), (1003, 1000, math.pi - 1e-3),
+                          (1999, 3, math.pi - 0.02))),
+}
 
+
+@functools.lru_cache(maxsize=None)
 def _direct_mp(two_j: int, two_mr: int, two_mc: int, beta: float, dps: int = 60):
     """The defining factorial sum in dps-digit arithmetic (test oracle)."""
     mp = pytest.importorskip("mpmath")
@@ -270,20 +286,37 @@ class TestStableRoute:
         ucol = sector_unitary_column(ResourceParams(5, 9, 1.1))
         assert abs(np.vdot(ucol, ucol).real - 1.0) < 1e-13
 
-    @pytest.mark.parametrize("total, picks", [
-        (1000, ((0, 1000), (377, 621), (850, 700))),
-        (2000, ((1999, 3), (1500, 1000), (1800, 1500))),
-    ])
-    def test_large_total_entries_match_extended_precision(self, total, picks):
+    @over_routes("column, total, picks", EXTENDED_PICKS)
+    def test_large_total_entries_match_extended_precision(self, column, total, picks):
         # the factorial sum cancels down from ~10^(total/2), so its digits
         # must exceed that; corner picks are tiny entries, checked absolutely
-        betas = np.array([0.7, 2.0])
-        factor = _factor(total)
-        for k, (row, col) in enumerate(picks):
-            got = _rotated_column(factor, col, betas)[k % 2, row]
-            ref = _direct_mp(total, 2 * row - total, 2 * col - total, float(betas[k % 2]),
-                             dps=total // 2 + 60)
-            assert got == pytest.approx(ref, abs=1e-13)
+        for row, col, beta in picks:
+            ref = _direct_mp(total, 2 * row - total, 2 * col - total, beta, dps=total // 2 + 60)
+            assert column(total, col, beta)[row] == pytest.approx(ref, abs=1e-13), (row, col, beta)
+
+    def test_point_solve_matches_grid_kernel_on_every_column(self):
+        # every column up to total 40, at angles where the point solve's sign
+        # is hardest to fix: beta = pi/2 has exactly zero entries and Sturm
+        # pivots, and near 0 and pi the column is nearly a delta
+        betas = np.array([0.0, 1e-9, 0.3, math.pi / 2, 2.0, math.pi - 1e-6, math.pi])
+        worst = 0.0
+        for total in range(41):
+            for col in range(total + 1):
+                block = grid_column(total, col, betas)
+                for k, beta in enumerate(betas):
+                    got = _column(total, col, float(beta))
+                    worst = max(worst, float(np.max(np.abs(got - block[k]))))
+        assert worst < 1e-13
+
+    def test_point_route_never_factors(self, monkeypatch):
+        def refuse(two_j):
+            raise AssertionError("a point reached the full factorization")
+
+        for module in (numerics, protocol, states):
+            if hasattr(module, "_factor"):
+                monkeypatch.setattr(module, "_factor", refuse)
+        resource_coeffs(ResourceParams(600, 400, 1.1))
+        wigner_d_column_stable(500, 100, 1.1)
 
     def test_beta_batch_matches_single_columns(self):
         # one block over a beta axis, beta = 0 included, against one call per beta
@@ -305,15 +338,15 @@ class TestStableRoute:
 
 class TestMemoryBudget:
     def test_one_budget_for_points_and_grids(self, monkeypatch):
-        # the total-2 factor takes 96 bytes, the smallest total-2 grid 552 and a
-        # 16-point phase reading of its 3 coefficients 1216
+        # the total-2 point solve takes 384 bytes, the smallest total-2 grid 552
+        # and a 16-point phase reading of its 3 coefficients 1216
         resource = resource_coeffs(ResourceParams(1, 1, 1.0))
         checks = (lambda: resource_coeffs(ResourceParams(1, 1, 1.0)),
                   lambda: check_sweep_size(fock_coeffs(0, 0), 2, 1, 1),
                   lambda: phase_argmax(resource, grid_size=16))
         for check in checks:
             check()
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 95)
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 383)
         for check in checks:
             with pytest.raises(ValueError, match="MiB limit"):
                 check()

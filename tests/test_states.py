@@ -97,13 +97,13 @@ class TestResourceCoeffs:
         assert len(r.coeffs) == 8
 
     def test_memory_budget_refused_before_allocation(self, monkeypatch):
-        # the factor alone would need ~12 GiB at this total; nothing is allocated
+        # the point solve alone would need ~12 GiB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
-            resource_coeffs(ResourceParams(20000, 20000, 1.0))
-        # the point route reads the grids' budget: 96 bytes hold the total-2 factor only
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 8 * 3 * 4)
+            resource_coeffs(ResourceParams(50_000_000, 50_000_000, 1.0))
+        # the point route reads the grids' budget: 384 bytes hold the total-2 solve only
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 128 * 3)
         resource_coeffs(ResourceParams(1, 1, 1.0))
-        with pytest.raises(ValueError, match="total 3 needs a factor"):
+        with pytest.raises(ValueError, match="total 3 needs a point solve"):
             resource_coeffs(ResourceParams(2, 1, 1.0))
 
 
