@@ -26,7 +26,7 @@ from .gridio import (
     grid_to_pgm_bytes,
 )
 from .oracle import MAX_VERIFY_TOTAL, _overlap_deficit, verify_resource
-from .phase import DEFAULT_PHASE_GRID, check_phase_map_size, phase_argmax_map
+from .phase import DEFAULT_PHASE_GRID, MIN_PHASE_GRID, check_phase_map_size, phase_argmax_map
 from .protocol import (
     average_fidelity,
     check_sweep_size,
@@ -333,6 +333,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_phase_map(args) -> int:
+    if args.phi_grid < MIN_PHASE_GRID:
+        raise ValueError(f"--phi-grid must be at least {MIN_PHASE_GRID}")
     inputs = _grid_inputs(args, partial(check_phase_map_size, grid_size=args.phi_grid))
     grid = phase_argmax_map(*inputs, grid_size=args.phi_grid)
     return _write_grid(args, grid, scale=math.pi / 2)

@@ -7,7 +7,12 @@ that twist removed, where the coefficient sequence is real up to a
 global phase; for balanced inputs the profile is then symmetric about
 pi/2 and peaks there at a balanced splitter.  The joint probability of
 a reading is the squared modulus of the Fourier series of the twisted
-coefficients, and sampling it on a uniform grid is an inverse DFT.
+coefficients, so sampling it on a uniform grid of K points is one DFT.
+
+Point readings take the complex inverse FFT of any coefficients.  The
+map's twisted coefficients are a real rotation column times i^{n_in}, so
+it takes one real FFT of the rotation block over k = 0..K/2, where the
+mirror-symmetric profile P(K - k) = P(k) has its first maximum.
 """
 
 from __future__ import annotations
@@ -39,20 +44,38 @@ class PhaseProfile:
     total: int
 
 
-def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """Profile at phi_k = 2 pi k / K for k = 0..K-1, one row per row of coefficients."""
+def _check_grid_size(grid_size: int) -> None:
     if grid_size < MIN_PHASE_GRID:
         raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
+
+
+def _folded(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+    """Coefficients (last axis n) folded onto n mod K: the kernel has period K in n."""
+    if coeffs.shape[-1] <= grid_size:
+        return coeffs
+    coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, -coeffs.shape[-1] % grid_size)])
+    return coeffs.reshape(coeffs.shape[:-1] + (-1, grid_size)).sum(axis=-2)
+
+
+def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+    """Profile at phi_k = 2 pi k / K for k = 0..K-1, one row per row of coefficients."""
+    _check_grid_size(grid_size)
     # 64 bytes per element of the coefficient block and of the output, as _beta_chunk counts them
     _check_budget(64 * (coeffs.size + math.prod(coeffs.shape[:-1]) * grid_size),
                   f"a phase grid of {grid_size} points over {coeffs.size} coefficients needs")
     twisted = _I_POW[np.arange(coeffs.shape[-1]) % 4] * coeffs  # entry n gains an exact i^n
-    if twisted.shape[-1] > grid_size:
-        # the kernel has period K in n, so coefficients beyond K fold onto n mod K
-        twisted = np.pad(twisted, [(0, 0)] * (twisted.ndim - 1) + [(0, -twisted.shape[-1] % grid_size)])
-        twisted = twisted.reshape(twisted.shape[:-1] + (-1, grid_size)).sum(axis=-2)
     # k-th inverse-DFT entry is (1/K) sum_n e^{2pi i n k / K} c_n
-    z = grid_size * np.fft.ifft(twisted, n=grid_size, axis=-1)
+    z = grid_size * np.fft.ifft(_folded(twisted, grid_size), n=grid_size, axis=-1)
+    return z.real**2 + z.imag**2
+
+
+def _half_profile(column: np.ndarray, grid_size: int) -> np.ndarray:
+    """Profile at phi_k for k = 0..K//2 from real rotation columns, one row per column.
+
+    The twist leaves a real column times a global phase, and the forward
+    real DFT is the conjugate of the inverse one, so the squared moduli match.
+    """
+    z = np.fft.rfft(_folded(column, grid_size), n=grid_size, axis=-1)
     return z.real**2 + z.imag**2
 
 
@@ -63,9 +86,11 @@ def phase_profile(params: ResourceParams, grid_size: int = DEFAULT_PHASE_GRID) -
     return PhaseProfile(phi_axis, values, params.beta, params.m, params.total)
 
 
-def _peak(coeffs: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Location and value of the profile maximum for each row of coefficients (see phase_argmax)."""
-    values = _profile_values(coeffs, grid_size)
+def _peak(values: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Location and value of the first maximum of each profile row (see phase_argmax).
+
+    A row may stop at k = K//2: a mirror-symmetric profile has its first maximum there.
+    """
     v_max = values.max(axis=-1)
     idx = np.argmax(values >= v_max[..., None] * (1.0 - _ARGMAX_RTOL), axis=-1)
     return np.where(v_max > 0.0, 2.0 * np.pi * idx / grid_size, 0.0), v_max
@@ -77,7 +102,7 @@ def phase_argmax(resource: ResourceCoeffs, grid_size: int = DEFAULT_PHASE_GRID) 
     Ties within relative tolerance of the maximum resolve to the smallest
     phi, so constant profiles report phi = 0.
     """
-    phi, v_max = _peak(resource.coeffs, grid_size)
+    phi, v_max = _peak(_profile_values(resource.coeffs, grid_size), grid_size)
     return float(phi), float(v_max)
 
 
@@ -87,11 +112,13 @@ def phase_argmax_map(total: int, beta_axis, m_axis, grid_size: int = DEFAULT_PHA
     Cells whose m is incompatible with the total are filled with NaN, as
     in the fidelity sweep.
     """
-    if grid_size < MIN_PHASE_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
-    return _grid(total, beta_axis, m_axis, lambda block: _peak(block, grid_size)[0], grid_size, "phase-argmax")
+    _check_grid_size(grid_size)
+    return _grid(total, beta_axis, m_axis,
+                 lambda column, n_in: _peak(_half_profile(column, grid_size), grid_size)[0],
+                 grid_size, "phase-argmax")
 
 
 def check_phase_map_size(total: int, n_beta: int, n_m: int, grid_size: int = DEFAULT_PHASE_GRID) -> None:
     """Raise ValueError if phase_argmax_map over axes of these lengths would exceed MAX_GRID_BYTES."""
+    _check_grid_size(grid_size)
     _beta_chunk(total, n_beta, n_m, grid_size)

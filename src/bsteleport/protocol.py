@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 # outcomes with probability at or below this are treated as unobservable
 DEFINED_MIN = 1e-15
 # bytes of rotation and reduction work in one chunk of a row's beta samples; the
-# phase map's FFT blocks ran ~1.7x slower as one 101-beta chunk than in chunks this size
+# phase map's real FFT blocks ran ~1.7x slower as one 101-beta chunk than in
+# chunks this size (30 betas at total 100, K = 4096; 2 cores, one BLAS thread)
 _CHUNK_BYTES = 1 << 23
 
 
@@ -206,9 +206,9 @@ def _beta_chunk(total: int, n_beta: int, n_m: int, length: int) -> int:
 def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) -> FidelityGrid:
     """One value per (m, beta) at fixed total, from one factor of the sector generator.
 
-    Each compatible m row is rotated as resource blocks over chunks of the beta
-    axis and reduce_row turns a block into one value per beta; other rows warn
-    and stay NaN.
+    Each compatible m row is rotated as real column blocks over chunks of the
+    beta axis and reduce_row(column, n_in) turns a block into one value per
+    beta; other rows warn and stay NaN.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
@@ -231,7 +231,7 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) ->
             continue
         for k in range(0, len(beta_axis), chunk):
             column = _rotated_column(factor, split[0], beta_axis[k:k + chunk])
-            values[i, k:k + chunk] = reduce_row(_resource(column, split[0]))
+            values[i, k:k + chunk] = reduce_row(column, split[0])
     return FidelityGrid(beta_axis, m_axis, values, total, label)
 
 
@@ -241,7 +241,8 @@ def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> Fidel
     Grid cells whose m is incompatible with the total are reported with a
     warning and filled with NaN.
     """
-    return _grid(total, beta_axis, m_axis, partial(_average, target), len(target.coeffs), target.label)
+    return _grid(total, beta_axis, m_axis, lambda column, n_in: _average(target, _resource(column, n_in)),
+                 len(target.coeffs), target.label)
 
 
 def check_sweep_size(target: TargetCoeffs, total: int, n_beta: int, n_m: int) -> None:

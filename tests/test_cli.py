@@ -277,6 +277,14 @@ class TestPhaseMapCommand:
         assert main(["phase-map", "--total", "2", "--phi-grid", "8",
                      "--out-dir", str(tmp_path)]) == 1
 
+    def test_negative_phi_grid_names_the_flag(self, capsys, tmp_path):
+        # refused before the chunk sizing, which would divide by zero
+        assert main(["phase-map", "--total", "1", "--beta-steps", "3", "--phi-grid", "-4",
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --phi-grid must be at least 16\n"
+        assert not any(tmp_path.iterdir())
+
     def test_memory_budget(self, capsys, tmp_path):
         assert main(["phase-map", "--total", "2", "--phi-grid", str(2**40),
                      "--out-dir", str(tmp_path)]) == 1

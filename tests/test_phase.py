@@ -181,6 +181,33 @@ class TestArgmaxMap:
         with pytest.raises(ValueError, match="at least"):
             phase_argmax_map(4, [0.5], [0.25], grid_size=8)
 
+    def test_size_check_refuses_a_grid_below_the_floor(self):
+        # refused before any chunk is sized, so negative sizes neither pass nor divide by zero
+        for grid_size in (-100, -4, 0, MIN_PHASE_GRID - 1):
+            with pytest.raises(ValueError, match=f"grid_size must be at least {MIN_PHASE_GRID}"):
+                check_phase_map_size(1, 3, 1, grid_size=grid_size)
+        check_phase_map_size(1, 3, 1, grid_size=MIN_PHASE_GRID)
+
+    @pytest.mark.parametrize("total, grid_size", [
+        (30, 17), (30, 33),  # odd grid sizes: no Nyquist bin in the half spectrum
+        (37, 16), (200, 128),  # more coefficients than grid points: they fold
+        (37, 64), (99, 4096),  # odd totals: half-integer m
+        (100, 4096),
+    ])
+    def test_half_spectrum_cells_match_point_readings(self, total, grid_size):
+        # the map reads half of a real FFT of the rotation block, the point
+        # route the whole complex inverse FFT of the resource coefficients; the
+        # rows at beta = 0 and pi are flat profiles that must read phi = 0
+        beta_axis = np.concatenate([[0.0], np.pi * np.arange(1, 8) / 8.0, [np.pi]])
+        m_axis = np.arange(-total, total + 1, 2) / 2.0
+        grid = phase_argmax_map(total, beta_axis, m_axis, grid_size=grid_size)
+        for i, m in enumerate(m_axis):
+            n_in = int(total / 2 + m)
+            for k, beta in enumerate(beta_axis):
+                res = resource_coeffs(ResourceParams(n_in, total - n_in, float(beta)))
+                assert grid.values[i, k] == phase_argmax(res, grid_size=grid_size)[0], (m, beta)
+        assert np.all(grid.values[:, [0, -1]] == 0.0)
+
     def test_memory_budget_refused_before_allocation(self):
         with pytest.raises(ValueError, match="MiB limit"):
             phase_argmax_map(4, [0.5], [0.0], grid_size=2**40)
