@@ -4,8 +4,10 @@ A grid factors the tridiagonal generator of its sector once and rotates
 every column it needs from that factorization (_factor, _rotated_column).
 A single point solves for its one column as the eigenvector of the
 rotated generator at its exact eigenvalue (_column), in O(j) time and
-memory.  Both stay accurate at any j.  Half-integer indices are carried
-as doubled integers so parity checks are exact.
+memory: LAPACK stein runs inverse iteration at that eigenvalue, and stebz
+only splits the matrix and counts eigenvalues for the sign.  Both stay
+accurate at any j.  Half-integer indices are carried as doubled integers
+so parity checks are exact.
 """
 
 from __future__ import annotations
@@ -13,15 +15,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 # exact unit phases i^k for k = 0..3
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 # bytes a call may hold: a point's solve, or a grid's factor, output and one chunk of a row
 MAX_GRID_BYTES = 1 << 30
-# bytes a point holds per level of its sector: tracemalloc saw at most 86 for a
+# bytes a point holds per level of its sector: tracemalloc saw at most 94 for a
 # resource_coeffs call at totals 10^3 to 10^5
 _POINT_BYTES = 128
+# LAPACK's bisection (stebz) and inverse iteration (stein) for real tridiagonals
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
 
 
 def _cumlog_factorials(n_max: int, head=(0.0,), carry: float = 0.0) -> tuple[np.ndarray, float]:
@@ -123,42 +127,71 @@ def _rotated_column(factor: tuple[np.ndarray, np.ndarray], col: int, beta) -> np
     return out
 
 
+def _lapack(routine, *args) -> list:
+    """Outputs of a LAPACK wrapper without its trailing info; a nonzero info raises LinAlgError."""
+    *out, info = routine(*args)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info={info}")
+    return out
+
+
+def _count_above(d: np.ndarray, e: np.ndarray, lam: float, k: int) -> int:
+    """Eigenvalues above lam of the leading k x k block of the tridiagonal (d, e).
+
+    By Sylvester's law of inertia this is the number of positive Sturm
+    pivots p[0..k-1] of T - lam.  stebz counts them on the window (lam, hi],
+    hi past a Gershgorin bound of the block, with a tolerance so large that
+    it does no bisection.
+    """
+    if k < 2:
+        return int(k == 1 and d[0] > lam)
+    hi = max(float(d[:k].max() + 2.0 * np.abs(e[:k - 1]).max()), lam) + 1.0
+    return _lapack(_STEBZ, d[:k], e[:k - 1], 1, lam, hi, 0, 0, 1e300, "E")[0]
+
+
+def _eigenvector(d: np.ndarray, e: np.ndarray, lam: float) -> np.ndarray:
+    """Unit eigenvector, of arbitrary sign, of the tridiagonal (d, e) for its exact eigenvalue lam.
+
+    lam must be the only eigenvalue in (lam - 1/2, lam + 1/2].  On that
+    window stebz, at a tolerance of 1, does no bisection: it only splits
+    the matrix where a coupling is negligible against its diagonal
+    neighbours and finds lam's block.  stein then runs inverse iteration on
+    that block at the exact lam, not at stebz's estimate.  A LAPACK
+    failure, or a window that does not hold exactly one eigenvalue, raises
+    np.linalg.LinAlgError.
+    """
+    m, _, iblock, isplit = _lapack(_STEBZ, d, e, 1, lam - 0.5, lam + 0.5, 0, 0, 1.0, "B")
+    if m != 1:
+        raise np.linalg.LinAlgError(f"stebz found {m} eigenvalues near {lam}, not 1")
+    return _lapack(_STEIN, d, e, np.array([lam]), iblock, isplit)[0][:, 0]
+
+
 def _column(two_j: int, col: int, beta: float) -> np.ndarray:
     """Real column `col` of D(beta) at one beta, by one eigenvector solve in O(two_j).
 
     In the twisted frame the column is the eigenvector of the real symmetric
     tridiagonal T = cos(beta) (n - j) + sin(beta) G for the exact eigenvalue
-    col - j, T's eigenvalue number col from the bottom; LAPACK stebz + stein
-    find it without factoring T.  stein's sign is arbitrary.  The exact
-    column has v[0] > 0 for beta in (0, pi], but an edge entry can be a true
-    1e-2600 that reads as noise, so the sign is fixed at the first entry k of
-    at least half the largest magnitude: v[i+1] / v[i] = -p[i] / e[i] with
-    e > 0, so v[k] has the sign (-1)^(number of positive Sturm pivots
-    p[0..k-1] of T - (col - j)).
+    lam = col - j; T's spectrum is exactly -j..j in steps of 1, so
+    _eigenvector finds it without bisecting.  Its sign is arbitrary.  The
+    exact column has v[0] > 0 for beta in (0, pi], but an edge entry can be
+    a true 1e-2600 that reads as noise, so the sign is fixed at the first
+    entry k of at least half the largest magnitude: v[i+1] / v[i] =
+    -p[i] / e[i] with e > 0, so v[k] has the sign (-1)^(number of positive
+    Sturm pivots p[0..k-1] of T - lam), which _count_above counts.
     A point over MAX_GRID_BYTES is refused before anything is allocated;
-    beta == 0 gives the exact delta.
+    beta == 0 gives the exact delta, and total 0 the one entry 1.
     """
     dim = two_j + 1
     _check_budget(_POINT_BYTES * dim, f"total {two_j} needs a point solve of")
-    if beta == 0.0:
+    if beta == 0.0 or dim == 1:
         return np.eye(1, dim, col)[0]
     d = math.cos(beta) * (np.arange(dim) - 0.5 * two_j)
     e = math.sin(beta) * _offdiagonal(two_j)
-    v = eigh_tridiagonal(d, e, select="i", select_range=(col, col))[1][:, 0]
+    lam = col - 0.5 * two_j
+    v = _eigenvector(d, e, lam)
     mag = np.abs(v)
     k = int(np.argmax(mag >= 0.5 * mag.max()))
-    lam = col - 0.5 * two_j
-    e2 = e * e
-    # as in LAPACK's Sturm count, a pivot smaller than pivmin counts as -pivmin
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
-    flips = 0
-    p = float(d[0]) - lam
-    for dk, ek2 in zip(memoryview(d[1:k + 1]), memoryview(e2[:k])):
-        if abs(p) < pivmin:
-            p = -pivmin
-        flips += p > 0.0
-        p = (dk - lam) - ek2 / p
-    return -v if (v[k] < 0.0) != (flips % 2 == 1) else v
+    return -v if (v[k] < 0.0) != (_count_above(d, e, lam, k) % 2 == 1) else v
 
 
 def wigner_d_column_stable(j, m_col, beta: float) -> np.ndarray:

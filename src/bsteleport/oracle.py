@@ -42,15 +42,9 @@ def _couplings(total: int) -> np.ndarray:
 
 
 def sector_unitary(total: int, beta: float) -> np.ndarray:
-    """Full sector matrix exp(i beta H) by Pade exponentiation of a real matrix.
-
-    expm([[0, -B], [B, 0]]) with B = beta H is [[cos B, -sin B], [sin B, cos B]],
-    so its left column block gives cos B + i sin B in real arithmetic.
-    """
+    """Full sector matrix exp(i beta H) by Pade exponentiation of the complex matrix."""
     off = _couplings(total)
-    b = beta * (np.diag(off, 1) + np.diag(off, -1))
-    block = expm(np.block([[np.zeros_like(b), -b], [b, np.zeros_like(b)]]))
-    return block[: total + 1, : total + 1] + 1j * block[total + 1 :, : total + 1]
+    return expm(1j * beta * (np.diag(off, 1) + np.diag(off, -1)))
 
 
 def sector_unitary_column(params: ResourceParams) -> np.ndarray:

@@ -4,7 +4,9 @@ Each route recomputes its quantity from the defining formula and shares
 no arithmetic with the route it checks: the rotation coefficient as the
 explicit factorial sum, the outcome probability and conditional fidelity
 as literal sums over photon numbers, and the phase-difference density as
-a direct Fourier sum at one reading.
+a direct Fourier sum at one reading.  The point solve is checked against
+its earlier route: the eigenvector found by bisection for its eigenvalue,
+its sign by a literal loop over the Sturm pivots.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from bsteleport.numerics import _I_POW, _check_beta, _doubled, _log_factorials
+from bsteleport.numerics import _I_POW, _check_beta, _doubled, _log_factorials, _offdiagonal
 from bsteleport.protocol import DEFINED_MIN, UndefinedOutcomeError
 from bsteleport.states import ResourceCoeffs, TargetCoeffs
 
@@ -71,6 +74,42 @@ def wigner_d_direct(j, m_row, m_col, beta: float) -> float:
         carry = (t - total) - y
         total = t
     return total
+
+
+def positive_pivots(d: np.ndarray, e: np.ndarray, lam: float, k: int) -> int:
+    """Positive Sturm pivots p[0..k-1] of the tridiagonal (d, e) minus lam, one by one.
+
+    As in LAPACK's Sturm count, a pivot smaller than pivmin counts as -pivmin.
+    """
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    flips = 0
+    p = float(d[0]) - lam
+    for dk, ek2 in zip(d[1:k + 1].tolist(), e2[:k].tolist()):
+        if abs(p) < pivmin:
+            p = -pivmin
+        flips += p > 0.0
+        p = (dk - lam) - ek2 / p
+    return flips
+
+
+def column_by_bisection(two_j: int, col: int, beta: float) -> np.ndarray:
+    """Real rotation column `col` at total two_j, as eigh_tridiagonal's eigenvector number col.
+
+    stebz bisects for the eigenvalue and stein iterates at its estimate;
+    the sign is that of (-1)^(positive Sturm pivots before the first entry
+    of at least half the largest magnitude).
+    """
+    dim = two_j + 1
+    if beta == 0.0:
+        return np.eye(1, dim, col)[0]
+    d = math.cos(beta) * (np.arange(dim) - 0.5 * two_j)
+    e = math.sin(beta) * _offdiagonal(two_j)
+    v = eigh_tridiagonal(d, e, select="i", select_range=(col, col))[1][:, 0]
+    mag = np.abs(v)
+    k = int(np.argmax(mag >= 0.5 * mag.max()))
+    flips = positive_pivots(d, e, col - 0.5 * two_j, k)
+    return -v if (v[k] < 0.0) != (flips % 2 == 1) else v
 
 
 def _pair_range(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> range:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bsteleport import cli
+from bsteleport import cli, numerics
 from bsteleport.cli import main
 from bsteleport.protocol import average_fidelity, classical_baseline
 from bsteleport.states import ResourceParams, cat_coeffs, resource_coeffs
@@ -83,6 +83,14 @@ class TestResourceCommand:
         assert main(["resource", "--total", "100000000", "--m", "0"]) == 1
         captured = capsys.readouterr()
         assert "MiB limit" in captured.err
+        assert captured.out == ""
+
+    def test_lapack_failure_exits_1(self, capsys, monkeypatch):
+        stein = numerics._STEIN
+        monkeypatch.setattr(numerics, "_STEIN", lambda *args: (stein(*args)[0], 1))
+        assert main(["resource", "--total", "40", "--m", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: LAPACK") and captured.err.endswith("info=1\n")
         assert captured.out == ""
 
     def test_csv_file_output(self, tmp_path, capsys):

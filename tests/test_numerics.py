@@ -21,10 +21,16 @@ from bsteleport.oracle import sector_unitary_column
 from bsteleport.phase import phase_argmax
 from bsteleport.protocol import check_sweep_size
 from bsteleport.states import ResourceParams, fock_coeffs, resource_coeffs
-from reference import wigner_d_direct
+from reference import column_by_bisection, positive_pivots, wigner_d_direct
 from routes import grid_column, over_routes
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
+# angles where the point solve's splitting and sign are hardest: stebz splits T
+# at couplings negligible against their diagonal neighbours (from beta ~1e-15),
+# and next to its zero diagonal entry once sin(beta)^2 underflows (below
+# ~1e-154); a column is nearly a delta near 0 and pi, and pi/2 has zero pivots
+SOLVE_BETAS = (5e-324, 1e-300, 1e-154, 1e-150, 1e-100, 1e-17, 1e-12, math.pi / 2,
+               math.nextafter(math.pi, 0.0), math.pi)
 
 # column (j=50, m=0, beta=pi/2): reference entries from a 60-digit
 # evaluation of the defining factorial sum, keyed by the row index m'
@@ -307,6 +313,61 @@ class TestStableRoute:
                     got = _column(total, col, float(beta))
                     worst = max(worst, float(np.max(np.abs(got - block[k]))))
         assert worst < 1e-13
+
+    @staticmethod
+    def _solve_cases():
+        """(total, col, beta): every column up to total 60 at SOLVE_BETAS, then seeded large totals."""
+        for total in range(61):
+            for col in range(total + 1):
+                for beta in SOLVE_BETAS:
+                    yield total, col, beta
+        rng = np.random.default_rng(10)
+        for total in rng.integers(61, 4001, size=12).tolist():
+            col = int(rng.integers(0, total + 1))
+            for beta in SOLVE_BETAS + (float(rng.uniform(0.0, math.pi)),):
+                yield total, col, beta
+
+    def test_point_solve_matches_bisection_route(self):
+        # stein at the exact eigenvalue, on stebz's blocks, against the
+        # earlier route that bisects for the eigenvalue first
+        worst = max(float(np.max(np.abs(_column(*case) - column_by_bisection(*case))))
+                    for case in self._solve_cases())
+        assert worst < 1e-13
+
+    def test_sign_count_parity_matches_pivot_loop(self, monkeypatch):
+        # the LAPACK count at the k each solve uses, against the literal loop
+        seen = []
+        count_above = numerics._count_above
+
+        def spy(d, e, lam, k):
+            count = count_above(d, e, lam, k)
+            seen.append((count, positive_pivots(d, e, lam, k)))
+            return count
+
+        monkeypatch.setattr(numerics, "_count_above", spy)
+        for case in self._solve_cases():
+            _column(*case)
+        assert len(seen) > 19000 and sum(count % 2 for count, _ in seen) > 2000
+        assert [c for c in seen if c[0] % 2 != c[1] % 2] == []
+
+    def test_lapack_failures_raise_linalg_error(self, monkeypatch):
+        stebz, stein = numerics._STEBZ, numerics._STEIN
+        monkeypatch.setattr(numerics, "_STEIN", lambda *args: (stein(*args)[0], 1))
+        with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+            _column(40, 20, 1.1)
+        monkeypatch.setattr(numerics, "_STEBZ", lambda *args: (2,) + stebz(*args)[1:])
+        with pytest.raises(np.linalg.LinAlgError, match="2 eigenvalues near 0.0"):
+            _column(40, 20, 1.1)
+
+    def test_total_zero_calls_no_lapack(self, monkeypatch):
+        # f2py's stebz refuses the empty coupling array of a 1 x 1 sector
+        def refuse(*args):
+            raise AssertionError("the total-0 point reached LAPACK")
+
+        monkeypatch.setattr(numerics, "_STEBZ", refuse)
+        monkeypatch.setattr(numerics, "_STEIN", refuse)
+        for beta in (0.0, 1e-300, 1.1, math.pi):
+            assert np.array_equal(_column(0, 0, beta), [1.0])
 
     def test_point_route_never_factors(self, monkeypatch):
         def refuse(two_j):

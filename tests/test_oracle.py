@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from bsteleport.oracle import (
     MAX_BRUTE_CUTOFF,
@@ -75,15 +74,20 @@ class TestSectorUnitary:
         assert np.array_equal(sector_unitary(0, 1.0), np.ones((1, 1), dtype=complex))
         assert np.array_equal(sector_unitary_column(ResourceParams(0, 0, 1.0)), [1.0 + 0.0j])
 
-    def test_real_block_matches_complex_exponential(self):
-        # the oracle exponentiates [[0, -bH], [bH, 0]] in real arithmetic;
-        # it must agree with the complex exponential it replaces
-        for total in (1, 7, 20, 40):
+    def test_matches_extended_precision_exponential(self):
+        # a 20-digit mpmath.expm; at beta = 3 the real-block exponential the
+        # oracle once used was off by 6e-14 (total 20) and 1e-13 (total 40).
+        # With phases s_n = i^n, s^-1 (i beta H) s is the real matrix beta K,
+        # K[n+1, n] = -K[n, n+1] = H[n, n+1], so mpmath works in real arithmetic
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 20
+        beta = 3.0
+        for total in (20, 40):
             off = _couplings(total)
-            ham = np.diag(off, 1) + np.diag(off, -1)
-            for beta in BETA_GRID:
-                reference = scipy.linalg.expm(1j * beta * ham)
-                assert np.max(np.abs(sector_unitary(total, beta) - reference)) < 1e-13
+            real = mp.expm(mp.matrix((beta * (np.diag(off, -1) - np.diag(off, 1))).tolist()))
+            phases = np.array([1, 1j, -1, -1j])[np.arange(total + 1) % 4]
+            reference = phases[:, None] * np.array(real.tolist(), dtype=float) / phases
+            assert np.max(np.abs(sector_unitary(total, beta) - reference)) < 1e-14, total
 
 
 class TestVerifyResource:
