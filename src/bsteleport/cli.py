@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
                      description="Teleportation statistics for Fock states entangled at a beam splitter")
     subs = parser.add_subparsers(dest="command", metavar="command")
 
-    sub = subs.add_parser("resource", parents=[], help="resource coefficient vector",
+    sub = subs.add_parser("resource", help="resource coefficient vector",
                           description="Print or write the resource coefficients as index,real,imag CSV.")
     _add_pair_options(sub)
     _add_output_options(sub)
@@ -152,7 +152,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("--verbose", action="store_true", help="print one line per failing check")
     sub.set_defaults(func=_cmd_oracle_check)
 
-    for name, sub in subs.choices.items():
+    for sub in subs.choices.values():
         sub.add_argument("--config", default=None,
                          help="key=value file supplying defaults; flags override it")
     return parser
@@ -358,8 +358,8 @@ def _cmd_oracle_check(args) -> int:
     worst_deficit = 0.0
     worst_deviation = 0.0
     for total in range(args.max_total + 1):
-        for n_in in range(total + 1):
-            for beta in betas:
+        for beta in betas:  # sector by sector, so the oracle exponentiates each once
+            for n_in in range(total + 1):
                 report = verify_resource(ResourceParams(n_in, total - n_in, beta), tol=args.tol)
                 checks += 1
                 worst_deficit = max(worst_deficit, _overlap_deficit(report.overlap_modulus))

@@ -95,6 +95,21 @@ def _check_budget(need: int, what: str) -> None:
                          f"above the {MAX_GRID_BYTES / 2**20:g} MiB limit")
 
 
+def _factor_bytes(two_j: int) -> int:
+    """Bytes _factor holds: stevd's eigenvectors and workspace, N^2 doubles each at N = two_j + 1."""
+    # the workspace is N^2 + 4N + 1 doubles; with d, e, their copies (the eigenvalues overwrite
+    # d's) and the integer workspace the peak is 16 N^2 + 84 N + 20 bytes, which 16 (N + 4)^2
+    # covers with 44 N + 236 bytes to spare for a further length-N array
+    return 16 * (two_j + 5) ** 2
+
+
+def _rotation_bytes(two_j: int) -> int:
+    """Bytes _rotated_column holds per beta sample: 38.6 per level were seen at total 100."""
+    # per level the angles, their cosine or sine, its product with the column's row,
+    # a half product and the output
+    return 40 * (two_j + 1)
+
+
 def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v) of the tridiagonal generator G of spin j.
 
@@ -102,7 +117,7 @@ def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     _offdiagonal couplings.  Every rotation of the sector reuses it.
     A factor over MAX_GRID_BYTES is refused before anything is allocated.
     """
-    _check_budget(8 * (two_j + 1) * (two_j + 2), f"total {two_j} needs a factor of")
+    _check_budget(_factor_bytes(two_j), f"total {two_j} needs a factor of")
     return eigh_tridiagonal(np.zeros(two_j + 1), _offdiagonal(two_j))
 
 

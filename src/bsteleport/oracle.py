@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -47,9 +48,19 @@ def sector_unitary(total: int, beta: float) -> np.ndarray:
     return expm(1j * beta * (np.diag(off, 1) + np.diag(off, -1)))
 
 
+@lru_cache(maxsize=32)
+def _kept_sector(total: int, beta: float) -> np.ndarray:
+    """Read-only sector_unitary, exponentiated once for all its columns; 32 kept hold at most 1.9 MB."""
+    u = sector_unitary(total, beta)
+    u.setflags(write=False)
+    return u
+
+
 def sector_unitary_column(params: ResourceParams) -> np.ndarray:
     """Column of exp(i beta H) selected by the input photon pair."""
-    return sector_unitary(params.total, params.beta)[:, params.n_in]
+    if params.total > MAX_VERIFY_TOTAL:
+        return sector_unitary(params.total, params.beta)[:, params.n_in]
+    return _kept_sector(params.total, float(params.beta))[:, params.n_in].copy()
 
 
 @dataclass(frozen=True)

@@ -57,16 +57,39 @@ def _folded(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     return coeffs.reshape(coeffs.shape[:-1] + (-1, grid_size)).sum(axis=-2)
 
 
+def _fft_bytes(grid_size: int) -> int:
+    """Bytes numpy's FFT allocates itself, outside its output, for one transform of K points.
+
+    Its plan and scratch take 32 bytes per point for a complex transform and 16
+    for a real one.  A K with a prime factor above 11 may instead take
+    Bluestein's transform of about 2K points, which held 128-144 per point.
+    """
+    rough = grid_size
+    for p in (2, 3, 5, 7, 11):
+        while rough % p == 0:
+            rough //= p
+    return (32 if rough == 1 else 160) * grid_size
+
+
 def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """Profile at phi_k = 2 pi k / K for k = 0..K-1, one row per row of coefficients."""
     _check_grid_size(grid_size)
-    # 64 bytes per element of the coefficient block and of the output, as _beta_chunk counts them
-    _check_budget(64 * (coeffs.size + math.prod(coeffs.shape[:-1]) * grid_size),
+    # 48 bytes per coefficient and per grid point of each row: twisted and folded copies,
+    # the spectrum, its scaled copy and the squared modulus with its temporaries
+    _check_budget(48 * (coeffs.size + math.prod(coeffs.shape[:-1]) * grid_size) + _fft_bytes(grid_size),
                   f"a phase grid of {grid_size} points over {coeffs.size} coefficients needs")
     twisted = _I_POW[np.arange(coeffs.shape[-1]) % 4] * coeffs  # entry n gains an exact i^n
     # k-th inverse-DFT entry is (1/K) sum_n e^{2pi i n k / K} c_n
     z = grid_size * np.fft.ifft(_folded(twisted, grid_size), n=grid_size, axis=-1)
     return z.real**2 + z.imag**2
+
+
+def _half_profile_bytes(dim: int, grid_size: int) -> tuple[int, int]:
+    """Bytes _half_profile and _peak hold per real column and once per block; refuses K below MIN_PHASE_GRID."""
+    # folding a column longer than K holds at most dim + 2K doubles; then each frequency
+    # k <= K/2 holds its spectrum and its squared modulus with two temporaries, 40 bytes
+    _check_grid_size(grid_size)
+    return 8 * dim + 40 * (grid_size // 2 + 1), _fft_bytes(grid_size)
 
 
 def _half_profile(column: np.ndarray, grid_size: int) -> np.ndarray:
@@ -112,13 +135,11 @@ def phase_argmax_map(total: int, beta_axis, m_axis, grid_size: int = DEFAULT_PHA
     Cells whose m is incompatible with the total are filled with NaN, as
     in the fidelity sweep.
     """
-    _check_grid_size(grid_size)
     return _grid(total, beta_axis, m_axis,
                  lambda column, n_in: _peak(_half_profile(column, grid_size), grid_size)[0],
-                 grid_size, "phase-argmax")
+                 _half_profile_bytes(total + 1, grid_size), "phase-argmax")
 
 
 def check_phase_map_size(total: int, n_beta: int, n_m: int, grid_size: int = DEFAULT_PHASE_GRID) -> None:
     """Raise ValueError if phase_argmax_map over axes of these lengths would exceed MAX_GRID_BYTES."""
-    _check_grid_size(grid_size)
-    _beta_chunk(total, n_beta, n_m, grid_size)
+    _beta_chunk(total, n_beta, n_m, _half_profile_bytes(total + 1, grid_size))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_budget, _factor, _rotated_column
+from .numerics import _check_budget, _factor, _factor_bytes, _rotated_column, _rotation_bytes
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 
 # outcomes with probability at or below this are treated as unobservable
@@ -25,7 +25,7 @@ DEFINED_MIN = 1e-15
 # bytes of rotation and reduction work in one chunk of a row's beta samples; the
 # phase map's real FFT blocks ran ~1.7x slower as one 101-beta chunk than in
 # chunks this size (30 betas at total 100, K = 4096; 2 cores, one BLAS thread)
-_CHUNK_BYTES = 1 << 23
+_CHUNK_BYTES = 21 << 17  # 2.625 MiB
 
 
 class UndefinedOutcomeError(ValueError):
@@ -137,6 +137,14 @@ def _outcomes(target: TargetCoeffs, d: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return out[0], out[1] ** 2 + out[2] ** 2
 
 
+def _sweep_bytes(dim: int, length: int) -> tuple[int, int]:
+    """Bytes the fidelity sweep's reduction holds per real column of dim levels, and once per chunk."""
+    # per column its complex resource and, per entry of the convolved sequences, 3 stacked
+    # inputs, 3 outputs and 3 products; per chunk the target's weights, the reversed copy
+    # np.convolve takes and the convolution's tail (35 bytes per entry seen at length 4097)
+    return 16 * dim + 72 * (dim + length), 40 * length
+
+
 def _average(target: TargetCoeffs, d: np.ndarray) -> np.ndarray:
     """Average fidelity for resource coefficients d, one value per leading index."""
     p, pf = _outcomes(target, d)
@@ -190,25 +198,26 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
     return n_in, total - n_in
 
 
-def _beta_chunk(total: int, n_beta: int, n_m: int, length: int) -> int:
+def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int]) -> int:
     """Beta samples per chunk of a grid row, refusing a grid over MAX_GRID_BYTES before allocating.
 
-    length is the row reduction's other axis: the target's length or the phase grid.
+    reduce_bytes is what the row reduction holds per beta sample and once per
+    chunk.  The need is the factor, the output and one chunk.
     """
-    dim = total + 1
-    per_beta = 64 * (2 * dim + length)  # rotation, resource and reduction blocks, with temporaries
-    chunk = max(1, min(n_beta, _CHUNK_BYTES // per_beta))
-    _check_budget(8 * (dim * (dim + 1) + n_beta * n_m) + chunk * per_beta,
+    per_beta, per_chunk = reduce_bytes
+    per_beta += _rotation_bytes(total)
+    chunk = max(1, min(n_beta, (_CHUNK_BYTES - per_chunk) // per_beta))
+    _check_budget(_factor_bytes(total) + 8 * n_beta * n_m + per_chunk + chunk * per_beta,
                   f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
     return chunk
 
 
-def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) -> FidelityGrid:
+def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, int], label: str) -> FidelityGrid:
     """One value per (m, beta) at fixed total, from one factor of the sector generator.
 
     Each compatible m row is rotated as real column blocks over chunks of the
     beta axis and reduce_row(column, n_in) turns a block into one value per
-    beta; other rows warn and stay NaN.
+    beta, holding reduce_bytes (see _beta_chunk); other rows warn and stay NaN.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
@@ -220,7 +229,7 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, length: int, label: str) ->
         raise ValueError("beta axis must lie in [0, pi]")
     if total < 0:
         raise ValueError("total must be non-negative")
-    chunk = _beta_chunk(total, len(beta_axis), len(m_axis), length)
+    chunk = _beta_chunk(total, len(beta_axis), len(m_axis), reduce_bytes)
 
     factor = _factor(total)
     values = np.full((len(m_axis), len(beta_axis)), np.nan)
@@ -242,9 +251,9 @@ def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> Fidel
     warning and filled with NaN.
     """
     return _grid(total, beta_axis, m_axis, lambda column, n_in: _average(target, _resource(column, n_in)),
-                 len(target.coeffs), target.label)
+                 _sweep_bytes(total + 1, len(target.coeffs)), target.label)
 
 
 def check_sweep_size(target: TargetCoeffs, total: int, n_beta: int, n_m: int) -> None:
     """Raise ValueError if fidelity_sweep over axes of these lengths would exceed MAX_GRID_BYTES."""
-    _beta_chunk(total, n_beta, n_m, len(target.coeffs))
+    _beta_chunk(total, n_beta, n_m, _sweep_bytes(total + 1, len(target.coeffs)))

@@ -294,9 +294,13 @@ class TestPhaseMapCommand:
         assert not any(tmp_path.iterdir())
 
     def test_memory_budget(self, capsys, tmp_path):
-        assert main(["phase-map", "--total", "2", "--phi-grid", str(2**40),
-                     "--out-dir", str(tmp_path)]) == 1
-        assert "MiB limit" in capsys.readouterr().err
+        # numpy's FFT keeps 16 bytes per point of plan and scratch beside the 20 a
+        # one-beta map holds, 144 for a prime K: 2^25 holds ~1.2 GiB, 8388617 ~1.3 GiB
+        for grid in (2**40, 2**25, 8388617):
+            assert main(["phase-map", "--total", "2", "--phi-grid", str(grid),
+                         "--out-dir", str(tmp_path)]) == 1
+            assert "MiB limit" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_long_beta_axis_passes_the_budget(self, capsys, tmp_path, monkeypatch):
         # the budget check passes and the grid call is reached (stubbed, not run)

@@ -1,0 +1,104 @@
+"""Each memory need the library checks against what the same call holds.
+
+The need is the largest one a call passes to the budget check; what it
+holds is the tracemalloc peak of a second identical call, after the first
+has filled any cache.  tracemalloc sees numpy's arrays, the work arrays of
+scipy's LAPACK wrappers included, but not OpenBLAS's or the FFT's own
+buffers.  A case that takes a large transform adds what the transform keeps
+outside tracemalloc, measured on its own in a fresh interpreter.  The
+shapes are large enough that arrays, not Python objects, make up the peak.
+"""
+
+import subprocess
+import sys
+import tracemalloc
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bsteleport import numerics, phase, protocol
+from bsteleport.phase import phase_argmax, phase_argmax_map
+from bsteleport.protocol import fidelity_sweep
+from bsteleport.states import ResourceParams, cat_coeffs, fock_coeffs, resource_coeffs, suggest_cutoff
+
+FIG_BETAS = np.pi * np.arange(1, 102) / 102
+FIG_MS = np.arange(51.0)
+PRIME_GRID = 262139  # numpy's FFT takes Bluestein's padded transform for this K
+
+# each case builds its inputs and returns the measured call, with the largest
+# transform the call takes when that is worth measuring: (numpy.fft function, K)
+CASES = {
+    "factor-total-1000": lambda: (partial(numerics._factor, 1000), None),
+    "factor-total-2000": lambda: (partial(numerics._factor, 2000), None),
+    "fig2-sweep": lambda: (partial(fidelity_sweep, cat_coeffs(3.0, suggest_cutoff(3.0)), 100,
+                                   FIG_BETAS, FIG_MS), None),
+    "fig3-phase-map": lambda: (partial(phase_argmax_map, 100, FIG_BETAS, FIG_MS), None),
+    "fig3-axes-K16-folded": lambda: (partial(phase_argmax_map, 100, FIG_BETAS, FIG_MS, 16), None),
+    "beta-axis-1e6": lambda: (partial(phase_argmax_map, 2, np.linspace(0.0, np.pi, 10**6), [0.0], 16), None),
+    "phase-map-K-2pow20": lambda: (partial(phase_argmax_map, 10, [0.5, 1.0, 2.0], [0.0, 1.0], 2**20),
+                                   ("rfft", 2**20)),
+    "phase-map-K-prime": lambda: (partial(phase_argmax_map, 10, [0.5, 1.0], [0.0], PRIME_GRID),
+                                  ("rfft", PRIME_GRID)),
+    "cutoff-4096": lambda: (partial(fidelity_sweep, fock_coeffs(0, 4096), 100, FIG_BETAS[::10], [0.0]), None),
+    "point-total-1e3": lambda: (partial(resource_coeffs, ResourceParams(500, 500, 1.0)), None),
+    "point-total-1e4": lambda: (partial(resource_coeffs, ResourceParams(5000, 5000, 1.0)), None),
+    "point-total-1e5": lambda: (partial(resource_coeffs, ResourceParams(50_000, 50_000, 1.0)), None),
+    "argmax-K-2pow20": lambda: (partial(phase_argmax, resource_coeffs(ResourceParams(50, 50, 1.0)), 2**20),
+                                ("ifft", 2**20)),
+    "argmax-K-prime": lambda: (partial(phase_argmax, resource_coeffs(ResourceParams(50, 50, 1.0)), PRIME_GRID),
+                               ("ifft", PRIME_GRID)),
+}
+
+# growth of the resident high-water mark over one transform of 101 entries at
+# n = K, less its output, which tracemalloc sees; ru_maxrss would carry the
+# parent's resident size over the fork, so this reads Linux's per-process counts
+_BARE_TRANSFORM = """
+import sys
+import numpy as np
+def kib(field):
+    return int(next(line for line in open("/proc/self/status") if line.startswith(field)).split()[1])
+name, n = sys.argv[1], int(sys.argv[2])
+transform = getattr(np.fft, name)
+x = np.ones(101, complex if name == "ifft" else float)
+transform(x, n=16)
+before = kib("VmRSS:")
+out = transform(x, n=n).nbytes
+print(1024 * (kib("VmHWM:") - before) - out)
+"""
+
+
+def _untraced_fft_bytes(name: str, n: int) -> int:
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs Linux's /proc/self/status")
+    run = subprocess.run([sys.executable, "-c", _BARE_TRANSFORM, name, str(n)],
+                         capture_output=True, text=True, check=True)
+    return int(run.stdout)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_checked_need_bounds_the_peak(case, monkeypatch):
+    needs = []
+    check = numerics._check_budget
+
+    def recorded(need, what):
+        needs.append(need)
+        check(need, what)
+
+    for module in (numerics, protocol, phase):
+        monkeypatch.setattr(module, "_check_budget", recorded)
+    call, transform = CASES[case]()
+    call()
+    needs.clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if transform is not None:
+        peak += _untraced_fft_bytes(*transform)
+    need = max(needs)
+    # the need holds the peak, and counts it at most twice
+    assert peak <= need <= 2 * peak, (need, peak)

@@ -399,8 +399,8 @@ class TestStableRoute:
 
 class TestMemoryBudget:
     def test_one_budget_for_points_and_grids(self, monkeypatch):
-        # the total-2 point solve takes 384 bytes, the smallest total-2 grid 552
-        # and a 16-point phase reading of its 3 coefficients 1216
+        # the total-2 point solve takes 384 bytes, the smallest total-2 grid 1288
+        # and a 16-point phase reading of its 3 coefficients 1424
         resource = resource_coeffs(ResourceParams(1, 1, 1.0))
         checks = (lambda: resource_coeffs(ResourceParams(1, 1, 1.0)),
                   lambda: check_sweep_size(fock_coeffs(0, 0), 2, 1, 1),
@@ -413,6 +413,6 @@ class TestMemoryBudget:
                 check()
 
     def test_refused_need_reads_above_the_limit(self):
-        # total 11584 needs 1073790480 bytes, 1024.04 MiB: rounded up, not to the limit
+        # total 8188, the first refused, needs 1074003984 bytes, 1024.25 MiB: rounded up, not to the limit
         with pytest.raises(ValueError, match="about 1025 MiB, above the 1024 MiB limit"):
-            _factor(11584)
+            _factor(8188)

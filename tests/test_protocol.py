@@ -350,8 +350,9 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1000)
+        # the budget counts beta samples and m rows too: 1288 bytes for the
+        # total-2 grid of one beta by one m, 2240 for three betas by two
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 2000)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
@@ -364,7 +365,8 @@ class TestFidelitySweep:
         target = cat_coeffs(1.0, 6, tail_tol=1e-4)
         beta_axis = np.pi * np.arange(1, 8) / 8.0
         whole = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
-        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * 64 * (2 * 9 + len(target.coeffs)))
-        assert protocol._beta_chunk(8, len(beta_axis), 2, len(target.coeffs)) == 3
+        per_beta, per_chunk = reduce_bytes = protocol._sweep_bytes(9, len(target.coeffs))
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * (numerics._rotation_bytes(8) + per_beta) + per_chunk)
+        assert protocol._beta_chunk(8, len(beta_axis), 2, reduce_bytes) == 3
         chunked = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
         assert np.max(np.abs(whole.values - chunked.values)) < 1e-14

@@ -1,4 +1,4 @@
-"""The README's example outputs against what the commands print now."""
+"""The README's example outputs and stated size limits against what the library does now."""
 
 import re
 import shlex
@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bsteleport import numerics
 from bsteleport.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -36,3 +37,27 @@ def test_example_output_matches(command, capsys):
     for got, want in zip(printed, shown):
         for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
             assert float(g) == pytest.approx(float(w), abs=1e-13, nan_ok=True), (got, want)
+
+
+class _Accepted(Exception):
+    """A request passed the budget check; raised before anything is allocated."""
+
+
+@pytest.mark.parametrize("phrase, route", [
+    (r"A total whose point\s+would exceed", lambda total: numerics._column(total, 0, 1.0)),
+    (r"a grid factor", numerics._factor),
+])
+def test_stated_limit_is_the_largest_total_accepted(phrase, route, monkeypatch):
+    # the total after "any total above" in the sentence that names the route
+    stated = int(re.search(phrase + r"[^.]*?any\s+total\s+above\s+(\d+)", README.read_text()).group(1))
+    check = numerics._check_budget
+
+    def stop_if_accepted(need, what):
+        check(need, what)
+        raise _Accepted
+
+    monkeypatch.setattr(numerics, "_check_budget", stop_if_accepted)
+    with pytest.raises(_Accepted):
+        route(stated)
+    with pytest.raises(ValueError, match="MiB limit"):
+        route(stated + 1)
