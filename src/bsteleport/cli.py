@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -25,7 +26,7 @@ from .gridio import (
     grid_to_csv_bytes,
     grid_to_pgm_bytes,
 )
-from .oracle import MAX_VERIFY_TOTAL, _overlap_deficit, verify_resource
+from .oracle import DEFAULT_VERIFY_TOL, MAX_VERIFY_TOTAL, _overlap_deficit, verify_resource
 from .phase import DEFAULT_PHASE_GRID, MIN_PHASE_GRID, check_phase_map_size, phase_argmax_map
 from .protocol import (
     average_fidelity,
@@ -36,6 +37,7 @@ from .protocol import (
     split_total,
 )
 from .states import (
+    DEFAULT_TAIL_TOL,
     ResourceParams,
     cat_coeffs,
     coherent_coeffs,
@@ -45,7 +47,9 @@ from .states import (
 )
 
 OUT_DIR_ENV = "BSTELEPORT_OUT_DIR"
+DEFAULT_BETA = math.pi / 2
 DEFAULT_ORACLE_BETAS = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
+_ANGLE_NAMES = {math.pi / 2: "pi/2"}  # angles the help text shows by name
 
 # options that take no value; config entries for these accept true/false
 _SWITCH_KEYS = {"verbose"}
@@ -58,15 +62,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_target_options(sub) -> None:
     sub.add_argument("--target", choices=("cat", "fock", "coherent"), default="cat",
-                     help="state to teleport (default cat)")
+                     help="state to teleport (default %(default)s)")
     sub.add_argument("--alpha", type=float, default=3.0,
-                     help="amplitude for cat/coherent targets (default 3.0)")
+                     help="amplitude for cat/coherent targets (default %(default)s)")
     sub.add_argument("--k", type=int, default=0,
-                     help="photon number for the fock target (default 0)")
+                     help="photon number for the fock target (default %(default)s)")
     sub.add_argument("--cutoff", type=int, default=None,
                      help="number-basis cutoff (default: chosen from the tail tolerance)")
-    sub.add_argument("--tail-tol", type=float, default=1e-12,
-                     help="largest truncated tail accepted for the target (default 1e-12)")
+    sub.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
+                     help="largest truncated tail accepted for the target (default %(default)s)")
 
 
 def _add_pair_options(sub) -> None:
@@ -76,14 +80,14 @@ def _add_pair_options(sub) -> None:
                      help="total photon number (alternative to --n-in/--m-in, with --m)")
     sub.add_argument("--m", type=float, default=None,
                      help="half the input photon difference (used with --total)")
-    sub.add_argument("--beta", type=float, default=math.pi / 2,
-                     help="beam-splitter angle in [0, pi] (default pi/2)")
+    sub.add_argument("--beta", type=float, default=DEFAULT_BETA,
+                     help=f"beam-splitter angle in [0, pi] (default {_ANGLE_NAMES.get(DEFAULT_BETA, DEFAULT_BETA)})")
 
 
 def _add_grid_options(sub) -> None:
     sub.add_argument("--total", type=int, default=None, help="total photon number (required)")
     sub.add_argument("--beta-steps", type=int, default=101,
-                     help="number of interior beta samples (default 101)")
+                     help="number of interior beta samples (default %(default)s)")
     sub.add_argument("--m-range", default=None,
                      help="m axis as lo:hi[:step] (default 0 to total/2, step 1)")
     sub.add_argument("--workers", type=int, default=None,
@@ -94,10 +98,9 @@ def _add_output_options(sub, csv_default=None, pgm_default=None) -> None:
     sub.add_argument("--out-dir", default=None,
                      help=f"output directory (default ${OUT_DIR_ENV} or current directory)")
     sub.add_argument("--csv", default=csv_default,
-                     help="CSV output path" + ("" if csv_default is None else f" (default {csv_default})"))
+                     help="CSV output path" + ("" if csv_default is None else " (default %(default)s)"))
     if pgm_default is not None:
-        sub.add_argument("--pgm", default=pgm_default,
-                         help=f"PGM image output path (default {pgm_default})")
+        sub.add_argument("--pgm", default=pgm_default, help="PGM image output path (default %(default)s)")
 
 
 def _build_parser() -> _Parser:
@@ -136,19 +139,19 @@ def _build_parser() -> _Parser:
                                       "with white at pi/2.")
     _add_grid_options(sub)
     sub.add_argument("--phi-grid", type=int, default=DEFAULT_PHASE_GRID,
-                     help=f"phase grid resolution (default {DEFAULT_PHASE_GRID})")
+                     help="phase grid resolution (default %(default)s)")
     _add_output_options(sub, csv_default="phase_map.csv", pgm_default="phase_map.pgm")
     sub.set_defaults(func=_cmd_phase_map)
 
     sub = subs.add_parser("oracle-check", help="check coefficients against the sector unitary",
                           description="Compare closed-form resource coefficients with the directly "
                                       "exponentiated sector Hamiltonian over a range of inputs.")
-    sub.add_argument("--max-total", type=int, default=40,
-                     help=f"largest total photon number checked, at most {MAX_VERIFY_TOTAL} (default 40)")
-    sub.add_argument("--betas", default=None,
-                     help="comma-separated beta values (default 0.1,0.5,pi/2,2.5,3.0)")
-    sub.add_argument("--tol", type=float, default=1e-10,
-                     help="allowed overlap deficit per check (default 1e-10)")
+    sub.add_argument("--max-total", type=int, default=40, help="largest total photon number checked, "
+                     f"at most {MAX_VERIFY_TOTAL} (default %(default)s)")
+    sub.add_argument("--betas", default=None, help="comma-separated beta values "
+                     f"(default {','.join(_ANGLE_NAMES.get(b, str(b)) for b in DEFAULT_ORACLE_BETAS)})")
+    sub.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL,
+                     help="allowed overlap deficit per check (default %(default)s)")
     sub.add_argument("--verbose", action="store_true", help="print one line per failing check")
     sub.set_defaults(func=_cmd_oracle_check)
 
@@ -215,7 +218,7 @@ def _build_target(args):
     return builder(args.alpha, cutoff, tail_tol=args.tail_tol)
 
 
-def _resolve_pair(args) -> tuple[int, int]:
+def _resource_params(args) -> ResourceParams:
     by_pair = args.n_in is not None or args.m_in is not None
     by_sector = args.total is not None or args.m is not None
     if by_pair and by_sector:
@@ -223,14 +226,14 @@ def _resolve_pair(args) -> tuple[int, int]:
     if by_pair:
         if args.n_in is None or args.m_in is None:
             raise ValueError("--n-in and --m-in must be given together")
-        return args.n_in, args.m_in
+        return ResourceParams(args.n_in, args.m_in, args.beta)
     if by_sector:
         if args.total is None or args.m is None:
             raise ValueError("--total and --m must be given together")
         split = split_total(args.total, args.m)
         if split is None:
             raise ValueError(f"m={args.m:g} is incompatible with total={args.total}")
-        return split
+        return ResourceParams(*split, args.beta)
     raise ValueError("resource inputs required: --n-in/--m-in or --total/--m")
 
 
@@ -260,17 +263,14 @@ def _m_range(args) -> tuple[float, float, int]:
 
 
 def _cmd_resource(args) -> int:
-    n_in, m_in = _resolve_pair(args)
-    params = ResourceParams(n_in, m_in, args.beta)
-    data = coeffs_to_csv_bytes(resource_coeffs(params).coeffs)
+    data = coeffs_to_csv_bytes(resource_coeffs(_resource_params(args)).coeffs)
     _emit(args, data)
     return 0
 
 
 def _cmd_distribution(args) -> int:
     target = _build_target(args)
-    n_in, m_in = _resolve_pair(args)
-    resource = resource_coeffs(ResourceParams(n_in, m_in, args.beta))
+    resource = resource_coeffs(_resource_params(args))
     data = distribution_to_csv_bytes(outcome_distribution(target, resource))
     _emit(args, data)
     return 0
@@ -278,11 +278,10 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_fidelity(args) -> int:
     target = _build_target(args)
-    n_in, m_in = _resolve_pair(args)
-    params = ResourceParams(n_in, m_in, args.beta)
+    params = _resource_params(args)
     resource = resource_coeffs(params)
     print(f"target={target.label} cutoff={target.cutoff}")
-    print(f"n_in={n_in} m_in={m_in} beta={_fmt(args.beta)}")
+    print(f"n_in={params.n_in} m_in={params.m_in} beta={_fmt(params.beta)}")
     print(f"average_fidelity={_fmt(average_fidelity(target, resource))}")
     print(f"classical_baseline={_fmt(classical_baseline(target, params))}")
     return 0
@@ -385,12 +384,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
-            parser.print_usage(sys.stderr)
-            return 1
+            raise ValueError("a command is required (see --help)")
         if getattr(args, "config", None):
             argv = argv[:1] + _config_tokens(args.config) + argv[1:]
             args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():  # each warning as one line, e.g. per incompatible grid row
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

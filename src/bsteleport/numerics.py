@@ -13,6 +13,7 @@ so parity checks are exact.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
@@ -72,11 +73,21 @@ def _doubled(j, **ms) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
+def _check_integer(label: str, value, least: int = 0) -> None:
+    """Refuse a value that is not an integer of at least `least`; Python and numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label} takes integers, not {value!r}")
+    if value < least:
+        raise ValueError(f"{label} must be non-negative" if least == 0 else f"{label} must be at least {least}")
+
+
+def _check_beta(beta) -> float:
+    # a 0-d array counts as the scalar it holds; a string, a longer array or a complex number is refused
+    if not isinstance(np.asarray(beta)[()], numbers.Real):
+        raise TypeError(f"beta must be a real number, not {type(beta).__name__}")
     if not 0.0 <= beta <= math.pi:
         raise ValueError(f"beta={beta} outside [0, pi]")
-    return beta
+    return float(beta)
 
 
 def _offdiagonal(two_j: int) -> np.ndarray:

@@ -18,10 +18,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
+from .numerics import _check_integer
 from .protocol import DEFINED_MIN, OutputState, UndefinedOutcomeError
 from .states import ResourceParams, TargetCoeffs, _check_tol, resource_coeffs
 
 MAX_VERIFY_TOTAL = 60
+DEFAULT_VERIFY_TOL = 1e-10
 MAX_BRUTE_TOTAL = 8
 MAX_BRUTE_CUTOFF = 8
 
@@ -36,8 +38,7 @@ def _couplings(total: int) -> np.ndarray:
     The sector basis is |n, total - n> for n = 0..total; the generator is
     real symmetric tridiagonal with zero diagonal.
     """
-    if total < 0:
-        raise ValueError("total must be non-negative")
+    _check_integer("total", total)
     n = np.arange(total, dtype=float)
     return 0.5 * np.sqrt((n + 1.0) * (total - n))
 
@@ -50,17 +51,15 @@ def sector_unitary(total: int, beta: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _kept_sector(total: int, beta: float) -> np.ndarray:
-    """Read-only sector_unitary, exponentiated once for all its columns; 32 kept hold at most 1.9 MB."""
-    u = sector_unitary(total, beta)
+    """Read-only sector_unitary kept for verify_resource alone, which caps totals at 60: 32 hold at most 1.9 MB."""
+    u = np.asfortranarray(sector_unitary(total, beta))  # np.vdot sums a strided column in another order
     u.setflags(write=False)
     return u
 
 
 def sector_unitary_column(params: ResourceParams) -> np.ndarray:
     """Column of exp(i beta H) selected by the input photon pair."""
-    if params.total > MAX_VERIFY_TOTAL:
-        return sector_unitary(params.total, params.beta)[:, params.n_in]
-    return _kept_sector(params.total, float(params.beta))[:, params.n_in].copy()
+    return sector_unitary(params.total, params.beta)[:, params.n_in]
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ def _overlap_deficit(modulus: float) -> float:
     return abs(1.0 - modulus)
 
 
-def verify_resource(params: ResourceParams, tol: float = 1e-10) -> ResourceCheck:
+def verify_resource(params: ResourceParams, tol: float = DEFAULT_VERIFY_TOL) -> ResourceCheck:
     """Check the closed-form coefficients against exp(i beta H).
 
     Passes when the unit-vector overlap modulus is within tol of one, on
@@ -90,7 +89,7 @@ def verify_resource(params: ResourceParams, tol: float = 1e-10) -> ResourceCheck
     _check_tol(tol)
     if params.total > MAX_VERIFY_TOTAL:
         raise SizeLimitError(f"total={params.total} exceeds {MAX_VERIFY_TOTAL}")
-    column = sector_unitary_column(params)
+    column = _kept_sector(params.total, params.beta)[:, params.n_in]
     coeffs = resource_coeffs(params).coeffs
     overlap = complex(np.vdot(column, coeffs))
     modulus = abs(overlap)
@@ -122,8 +121,7 @@ def protocol_brute_force(
         raise SizeLimitError(f"cutoff={target.cutoff} exceeds {MAX_BRUTE_CUTOFF}")
     if params.total > MAX_BRUTE_TOTAL:
         raise SizeLimitError(f"total={params.total} exceeds {MAX_BRUTE_TOTAL}")
-    if q < 0:
-        raise ValueError("q must be non-negative")
+    _check_integer("q", q)
 
     c = target.coeffs
     d = resource_coeffs(params).coeffs

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _I_POW, _check_budget
+from .numerics import _I_POW, _check_budget, _check_integer
 from .protocol import FidelityGrid, _beta_chunk, _grid
 from .states import ResourceCoeffs, ResourceParams, resource_coeffs
 
@@ -45,8 +45,7 @@ class PhaseProfile:
 
 
 def _check_grid_size(grid_size: int) -> None:
-    if grid_size < MIN_PHASE_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_PHASE_GRID}")
+    _check_integer("grid_size", grid_size, MIN_PHASE_GRID)
 
 
 def _folded(coeffs: np.ndarray, grid_size: int) -> np.ndarray:

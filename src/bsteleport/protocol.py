@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_budget, _factor, _factor_bytes, _rotated_column, _rotation_bytes
+from .numerics import _check_budget, _check_integer, _factor, _factor_bytes, _rotated_column, _rotation_bytes
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
 
 # outcomes with probability at or below this are treated as unobservable
@@ -74,8 +74,7 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 def _outcome(target: TargetCoeffs, resource: ResourceCoeffs, q: int) -> tuple[float, float]:
     """(p[q], f[q]) from outcome_distribution; beyond its support p is 0."""
-    if q < 0:
-        raise ValueError("q must be non-negative")
+    _check_integer("q", q)
     dist = outcome_distribution(target, resource)
     if q > dist.q_max:
         return 0.0, math.nan
@@ -185,10 +184,11 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
     Returns None when m is not half of an integer of the right parity or
     lies outside the sector.
     """
-    if not math.isfinite(m):
+    doubled = 2.0 * float(m)  # a Python float: infinite above about 9e307, with no numpy warning
+    if not math.isfinite(doubled):
         return None
-    two_m = round(2.0 * m)
-    if abs(2.0 * m - two_m) > 1e-9:
+    two_m = round(doubled)
+    if abs(doubled - two_m) > 1e-9:
         return None
     if (total + two_m) % 2 != 0:
         return None
@@ -204,6 +204,7 @@ def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int]
     reduce_bytes is what the row reduction holds per beta sample and once per
     chunk.  The need is the factor, the output and one chunk.
     """
+    _check_integer("total", total)
     per_beta, per_chunk = reduce_bytes
     per_beta += _rotation_bytes(total)
     chunk = max(1, min(n_beta, (_CHUNK_BYTES - per_chunk) // per_beta))
@@ -227,8 +228,6 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
         raise ValueError("axes must be finite")
     if np.any(beta_axis < 0.0) or np.any(beta_axis > np.pi):
         raise ValueError("beta axis must lie in [0, pi]")
-    if total < 0:
-        raise ValueError("total must be non-negative")
     chunk = _beta_chunk(total, len(beta_axis), len(m_axis), reduce_bytes)
 
     factor = _factor(total)

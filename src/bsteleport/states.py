@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _I_POW, _column, _log_factorials
+from .numerics import _I_POW, _check_beta, _check_integer, _column, _log_factorials
 
 DEFAULT_TAIL_TOL = 1e-12
 _MAX_AUTO_CUTOFF = 4096
@@ -38,12 +37,9 @@ class ResourceParams:
     beta: float
 
     def __post_init__(self):
-        if not all(isinstance(c, numbers.Integral) for c in (self.n_in, self.m_in)):
-            raise ValueError("photon counts must be integers")
-        if self.n_in < 0 or self.m_in < 0:
-            raise ValueError("photon counts must be non-negative")
-        if not 0.0 <= self.beta <= math.pi:
-            raise ValueError(f"beta={self.beta} outside [0, pi]")
+        _check_integer("n_in", self.n_in)
+        _check_integer("m_in", self.m_in)
+        object.__setattr__(self, "beta", _check_beta(self.beta))  # a float, so params hash
 
     @property
     def total(self) -> int:
@@ -128,8 +124,7 @@ def _tails(kind: str, a: float) -> np.ndarray:
 
 
 def _check_cutoff(cutoff: int) -> None:
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
+    _check_integer("cutoff", cutoff)
     if cutoff > _MAX_TAIL_RANGE:
         raise ValueError(f"cutoff={cutoff} exceeds the largest supported cutoff {_MAX_TAIL_RANGE}")
 
@@ -187,11 +182,10 @@ def coherent_coeffs(alpha, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> T
 
 def fock_coeffs(k: int, cutoff: int) -> TargetCoeffs:
     """Single number state |k>."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_integer("k", k)
+    _check_cutoff(cutoff)
     if k > cutoff:
         raise ValueError(f"k={k} exceeds cutoff={cutoff}")
-    _check_cutoff(cutoff)
     raw = np.zeros(cutoff + 1, dtype=complex)
     raw[k] = 1.0
     return TargetCoeffs(raw, f"fock({k})")

@@ -1,13 +1,16 @@
 """End-to-end checks for the command-line interface."""
 
 import math
+import re
 
 import pytest
 
 from bsteleport import cli, numerics
 from bsteleport.cli import main
+from bsteleport.oracle import DEFAULT_VERIFY_TOL
+from bsteleport.phase import DEFAULT_PHASE_GRID
 from bsteleport.protocol import average_fidelity, classical_baseline
-from bsteleport.states import ResourceParams, cat_coeffs, resource_coeffs
+from bsteleport.states import DEFAULT_TAIL_TOL, ResourceParams, cat_coeffs, resource_coeffs
 
 
 def _read_csv(path):
@@ -58,6 +61,90 @@ class TestInvocations:
         captured = capsys.readouterr()
         assert "--alpha must be finite" in captured.err
         assert captured.out == ""
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("fidelity", "--tail-tol", DEFAULT_TAIL_TOL),
+        ("sweep", "--tail-tol", DEFAULT_TAIL_TOL),
+        ("phase-map", "--phi-grid", DEFAULT_PHASE_GRID),
+        ("oracle-check", "--tol", DEFAULT_VERIFY_TOL),
+    ])
+    def test_defaults_are_the_library_constants(self, command, flag, value, capsys):
+        # the help shows the library's value, and a run without the flag uses it
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        shown = re.search(re.escape(flag) + r" [A-Z_]+ [^(]*\(default ([^)]+)\)", text).group(1)
+        assert float(shown) == value
+        args = cli._build_parser().parse_args([command])
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+
+
+# (arguments, exit code, warning lines before the error), run in an empty
+# directory that holds only the file "blocker"
+REFUSALS = [
+    ([], 1, 0),
+    (["frobnicate"], 1, 0),
+    (["resource", "--bogus"], 1, 0),
+    (["resource", "--n-in", "1.5", "--m-in", "0"], 1, 0),
+    (["resource"], 1, 0),
+    (["resource", "--n-in", "1", "--m-in", "1", "--total", "2", "--m", "0"], 1, 0),
+    (["resource", "--n-in", "1"], 1, 0),
+    (["resource", "--n-in", "-1", "--m-in", "0"], 1, 0),
+    (["resource", "--n-in", "1", "--m-in", "0", "--beta", "3.5"], 1, 0),
+    (["resource", "--n-in", "1", "--m-in", "0", "--beta", "nan"], 1, 0),
+    (["resource", "--total", "4", "--m", "0.5"], 1, 0),
+    (["resource", "--total", "4", "--m", "inf"], 1, 0),
+    (["fidelity", "--total", "3", "--m", "1e308"], 1, 0),
+    (["fidelity", "--total", "3", "--m=-1e308"], 1, 0),
+    (["fidelity", "--total", "3", "--m", "nan"], 1, 0),
+    (["resource", "--total", "100000000", "--m", "0"], 1, 0),
+    (["fidelity", "--target", "coherent", "--alpha", "nan", "--total", "2", "--m", "0"], 1, 0),
+    (["fidelity", "--tail-tol", "-1", "--total", "2", "--m", "0"], 1, 0),
+    (["fidelity", "--cutoff", "10000000000000", "--total", "2", "--m", "0"], 1, 0),
+    (["distribution", "--target", "fock", "--k", "3", "--cutoff", "2", "--n-in", "1", "--m-in", "1"], 1, 0),
+    (["distribution", "--target", "cat", "--alpha", "1.0", "--cutoff", "6", "--n-in", "1", "--m-in", "1"], 1, 0),
+    (["sweep", "--target", "fock"], 1, 0),
+    (["sweep", "--target", "fock", "--total", "-1"], 1, 0),
+    (["sweep", "--target", "fock", "--total", "2", "--beta-steps", "1"], 1, 0),
+    (["sweep", "--target", "fock", "--total", "2", "--workers", "0"], 1, 0),
+    (["sweep", "--target", "fock", "--total", "2", "--m-range", "a:b"], 1, 0),
+    (["sweep", "--target", "fock", "--total", "2", "--m-range", "0:inf"], 1, 0),
+    (["sweep", "--target", "fock", "--total", "100", "--beta-steps", str(10**12)], 1, 0),
+    (["phase-map", "--total", "2", "--phi-grid", "8"], 1, 0),
+    (["phase-map", "--total", "2", "--phi-grid", str(2**40)], 1, 0),
+    (["oracle-check", "--max-total", "61"], 1, 0),
+    (["oracle-check", "--betas", "0.2,zebra"], 1, 0),
+    (["oracle-check", "--max-total", "1", "--tol", "nan"], 1, 0),
+    (["resource", "--config", "absent.cfg"], 1, 0),
+    (["resource", "--n-in", "1", "--m-in", "0", "--csv", "blocker/r.csv"], 3, 0),
+    (["sweep", "--target", "fock", "--total", "4", "--beta-steps", "3", "--m-range", "0:1:0.5",
+      "--csv", "blocker/s.csv"], 3, 1),
+    (["sweep", "--target", "fock", "--total", "3", "--beta-steps", "3", "--m-range", "1e308:1e308",
+      "--csv", "blocker/s.csv"], 3, 1),
+]
+
+
+class TestStderrContract:
+    @pytest.mark.parametrize("argv, code, warned", REFUSALS)
+    def test_one_error_line_per_refusal(self, argv, code, warned, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_bytes(b"")
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        starts = [line.split(" ", 1)[0] for line in captured.err.splitlines()]
+        assert starts == ["warning:"] * warned + ["error:"], captured.err
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["blocker"]
+
+    def test_overflowing_m_row_warns_once(self, tmp_path, capsys):
+        # a row whose 2m overflows is incompatible like any other: NaN, one warning line
+        assert main(["sweep", "--target", "fock", "--total", "3", "--beta-steps", "3",
+                     "--m-range", "1e308:1e308", "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: m=1e+308 incompatible with total=3; row marked invalid\n"
+        assert captured.out.strip().endswith("no valid cells")
 
 
 class TestResourceCommand:
@@ -217,12 +304,13 @@ class TestSweepCommand:
         assert (dir1 / "fidelity_sweep.csv").read_bytes() == (dir2 / "fidelity_sweep.csv").read_bytes()
         assert (dir1 / "fidelity_sweep.pgm").read_bytes() == (dir2 / "fidelity_sweep.pgm").read_bytes()
 
-    def test_m_range_option(self, tmp_path):
-        with pytest.warns(UserWarning, match="incompatible"):
-            code = main(["sweep", "--target", "fock", "--k", "0", "--total", "4",
-                         "--beta-steps", "3", "--m-range", "0:2:0.5", "--workers", "1",
-                         "--out-dir", str(tmp_path)])
+    def test_m_range_option(self, tmp_path, capsys):
+        code = main(["sweep", "--target", "fock", "--k", "0", "--total", "4",
+                     "--beta-steps", "3", "--m-range", "0:2:0.5", "--workers", "1",
+                     "--out-dir", str(tmp_path)])
         assert code == 0
+        assert capsys.readouterr().err == ("warning: m=0.5 incompatible with total=4; row marked invalid\n"
+                                           "warning: m=1.5 incompatible with total=4; row marked invalid\n")
         header, rows = _read_csv(tmp_path / "fidelity_sweep.csv")
         ms = sorted({row[1] for row in rows})
         assert ms == ["0", "0.5", "1", "1.5", "2"]
@@ -232,11 +320,12 @@ class TestSweepCommand:
 
     def test_no_valid_cells(self, tmp_path, capsys):
         # every m row is incompatible: the files are written, all NaN
-        with pytest.warns(UserWarning, match="incompatible"):
-            code = main(["sweep", "--target", "fock", "--k", "0", "--total", "4",
-                         "--m-range", "0.25:0.25", "--beta-steps", "3", "--out-dir", str(tmp_path)])
+        code = main(["sweep", "--target", "fock", "--k", "0", "--total", "4",
+                     "--m-range", "0.25:0.25", "--beta-steps", "3", "--out-dir", str(tmp_path)])
         assert code == 0
-        assert capsys.readouterr().out.strip().endswith("no valid cells")
+        captured = capsys.readouterr()
+        assert captured.out.strip().endswith("no valid cells")
+        assert captured.err == "warning: m=0.25 incompatible with total=4; row marked invalid\n"
         header, rows = _read_csv(tmp_path / "fidelity_sweep.csv")
         assert len(rows) == 3
         assert all(row[2] == "nan" for row in rows)

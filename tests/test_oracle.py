@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bsteleport import oracle
 from bsteleport.numerics import _factor, _rotated_column
 from bsteleport.oracle import (
     MAX_BRUTE_CUTOFF,
@@ -72,7 +73,7 @@ class TestSectorUnitary:
         assert np.max(np.abs(col - u[:, 3])) < 1e-14
 
     def test_caller_owns_a_writable_copy(self):
-        # the sector is exponentiated once and kept; what a caller gets is its own
+        # each call exponentiates afresh; what a caller gets is its own
         u = sector_unitary(5, 1.3)
         col = sector_unitary_column(ResourceParams(3, 2, 1.3))
         expected = u.copy()
@@ -80,6 +81,18 @@ class TestSectorUnitary:
         col[:] = 0.0
         assert np.array_equal(sector_unitary(5, 1.3), expected)
         assert np.array_equal(sector_unitary_column(ResourceParams(3, 2, 1.3)), expected[:, 3])
+
+    def test_calls_keep_nothing(self):
+        # only verify_resource reads the kept sectors; these compute each call afresh
+        oracle._kept_sector.cache_clear()
+        verify_resource(ResourceParams(3, 2, 1.3))
+        kept = oracle._kept_sector.cache_info()
+        for total, beta in ((5, 1.3), (5, np.array(1.3)), (MAX_VERIFY_TOTAL + 1, 0.5), (70, np.array(2.0))):
+            for _ in range(3):
+                sector_unitary(total, beta)
+                sector_unitary_column(ResourceParams(total, 0, beta))
+                sector_unitary_column(ResourceParams(0, total, beta))
+        assert oracle._kept_sector.cache_info() == kept
 
     def test_trivial_sector(self):
         assert np.array_equal(sector_unitary(0, 1.0), np.ones((1, 1), dtype=complex))
@@ -116,6 +129,16 @@ class TestVerifyResource:
                 for beta in BETA_GRID:
                     report = verify_resource(ResourceParams(n_in, total - n_in, beta))
                     assert report.passed, (n_in, total - n_in, beta)
+
+    def test_each_sector_is_exponentiated_once(self):
+        # a 0-d array beta keys the same kept sector as its float
+        oracle._kept_sector.cache_clear()
+        for beta in (1.3, np.array(1.3), np.float64(1.3)):
+            for n_in in range(6):
+                assert verify_resource(ResourceParams(n_in, 5 - n_in, beta)).passed
+        info = oracle._kept_sector.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 17, 1)
+        assert not oracle._kept_sector(5, 1.3).flags.writeable
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):

@@ -181,6 +181,22 @@ class TestArgmaxMap:
         with pytest.raises(ValueError, match="at least"):
             phase_argmax_map(4, [0.5], [0.25], grid_size=8)
 
+    def test_non_integer_sizes_refused(self):
+        resource = resource_coeffs(ResourceParams(2, 2, 1.0))
+        for grid_size in (4096.0, 16.5, "64"):
+            for call in (lambda: phase_argmax(resource, grid_size),
+                         lambda: phase_profile(ResourceParams(2, 2, 1.0), grid_size),
+                         lambda: phase_argmax_map(4, [0.5], [0.0], grid_size=grid_size),
+                         lambda: check_phase_map_size(4, 1, 1, grid_size=grid_size)):
+                with pytest.raises(ValueError, match="grid_size takes integers"):
+                    call()
+        with pytest.raises(ValueError, match="total takes integers"):
+            phase_argmax_map(4.0, [0.5], [0.0])
+        # numpy integers are integers
+        assert phase_argmax(resource, np.int64(64)) == phase_argmax(resource, 64)
+        assert np.array_equal(phase_argmax_map(np.int64(4), [0.5], [0.0], grid_size=np.int32(64)).values,
+                              phase_argmax_map(4, [0.5], [0.0], grid_size=64).values)
+
     def test_size_check_refuses_a_grid_below_the_floor(self):
         # refused before any chunk is sized, so negative sizes neither pass nor divide by zero
         for grid_size in (-100, -4, 0, MIN_PHASE_GRID - 1):

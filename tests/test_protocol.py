@@ -70,6 +70,17 @@ class TestNumberSumProb:
         with pytest.raises(ValueError, match="q must be non-negative"):
             number_sum_prob(fock_coeffs(1, 1), resource, -1)
 
+    def test_non_integer_outcome_refused(self):
+        target = fock_coeffs(1, 1)
+        resource = resource_coeffs(ResourceParams(1, 0, 0.7))
+        for read in (number_sum_prob, fidelity_given_q, output_state):
+            for q in (2.5, 1.0, "1"):
+                with pytest.raises(ValueError, match="q takes integers"):
+                    read(target, resource, q)
+        # numpy integers are integers
+        assert number_sum_prob(target, resource, np.int64(1)) == number_sum_prob(target, resource, 1)
+        assert output_state(target, resource, np.int32(1)).dim == 2
+
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
         for target, resource in _instances(rng, 25):
@@ -281,6 +292,12 @@ class TestSplitTotal:
         assert split_total(4, -3.0) is None
         assert split_total(4, 0.25) is None  # not half-integer
 
+    def test_huge_and_non_finite_m(self):
+        # 2m overflows above about 9e307: no sector, no exception and no numpy warning
+        for m in (1e308, -1e308, math.inf, -math.inf, math.nan, np.float64(1e308), np.float64(-math.inf)):
+            assert split_total(3, m) is None
+        assert split_total(3, 1e307) is None
+
     def test_tolerates_float_dust(self):
         assert split_total(5, 0.5 + 4e-10) == (3, 2)
         assert split_total(4, 1.0 - 4e-10) == (3, 1)
@@ -310,6 +327,23 @@ class TestFidelitySweep:
         assert np.all(np.isnan(grid.values[1]))
         assert np.all(np.isfinite(grid.values[0]))
         assert np.all(np.isfinite(grid.values[2]))
+
+    def test_overflowing_m_row_warns_and_fills_nan(self):
+        with pytest.warns(UserWarning, match="m=1e[+]308 incompatible") as caught:
+            grid = fidelity_sweep(fock_coeffs(0, 1), 3, [0.5, 1.0], [0.5, 1e308])
+        assert len(caught) == 1
+        assert np.all(np.isfinite(grid.values[0])) and np.all(np.isnan(grid.values[1]))
+
+    def test_non_integer_total_refused(self):
+        target = fock_coeffs(0, 1)
+        for total in (4.0, 4.5):
+            with pytest.raises(ValueError, match="total takes integers"):
+                fidelity_sweep(target, total, [0.5], [0.0])
+            with pytest.raises(ValueError, match="total takes integers"):
+                protocol.check_sweep_size(target, total, 1, 1)
+        # numpy integers are integers
+        assert np.array_equal(fidelity_sweep(target, np.int64(4), [0.5], [0.0]).values,
+                              fidelity_sweep(target, 4, [0.5], [0.0]).values)
 
     def test_row_calls_agree_bitwise(self):
         target = cat_coeffs(1.0, 6, tail_tol=1e-4)

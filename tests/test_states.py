@@ -1,6 +1,7 @@
 """Checks for target-state builders and the entangled resource coefficients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ class TestResourceParams:
             ResourceParams(1, 1, -0.1)
         with pytest.raises(ValueError):
             ResourceParams(1, 1, math.pi + 1e-9)
+
+    def test_bad_betas_refused_as_the_rotation_column_refuses_them(self):
+        # one check serves both: the same exception and message for every bad beta
+        for beta in ("1.0", None, 1j, np.complex128(0.5), [1.0], np.array([1.0]), np.array(0.5j),
+                     -0.1, math.pi + 1e-9, math.nan, math.inf):
+            with pytest.raises((TypeError, ValueError)) as column:
+                numerics.wigner_d_column_stable(1, 0, beta)
+            with pytest.raises(column.type, match=f"^{re.escape(str(column.value))}$"):
+                ResourceParams(1, 1, beta)
+
+    def test_beta_is_kept_as_a_float(self):
+        # a numpy scalar or 0-d array is accepted and stored as the float it holds
+        for beta in (np.float32(0.5), np.array(0.5), 0.5):
+            params = ResourceParams(1, 1, beta)
+            assert type(params.beta) is float and params.beta == 0.5
+            assert hash(params) == hash(ResourceParams(1, 1, 0.5))
 
 
 class TestResourceCoeffs:
@@ -208,6 +225,17 @@ class TestFockCoeffs:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             fock_coeffs(-1, 2)
+
+    def test_non_integer_k_and_cutoff_refused(self):
+        for k, cutoff in ((1.0, 2), (1, 2.0), (1, 2.5), (1, "2")):
+            with pytest.raises(ValueError, match="takes integers"):
+                fock_coeffs(k, cutoff)
+        for builder in (cat_coeffs, coherent_coeffs):
+            with pytest.raises(ValueError, match="cutoff takes integers, not 20.0"):
+                builder(1.0, 20.0)
+        # numpy integers are integers
+        assert fock_coeffs(np.int64(1), np.int32(2)).cutoff == 2
+        assert cat_coeffs(1.0, np.int64(20)).cutoff == 20
 
     def test_cutoff_beyond_the_weight_range_refused(self):
         for k, cutoff in ((10**10, 10**10), (0, _MAX_TAIL_RANGE + 1)):
