@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import warnings
 from functools import partial
@@ -56,6 +57,12 @@ _SWITCH_KEYS = {"verbose"}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -5e-1 or -1:1 is read as a value, not only -123 and -1.5;
+        # no option name starts with "-" and a digit or "."
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise ValueError(message)
 
@@ -189,18 +196,19 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _out_path(args, name: str) -> str:
-    if os.path.isabs(name):
-        return name
+def _write(args, outputs: list[tuple[str, bytes]]) -> None:
+    """Write each (name, data) file, relative names under the output directory, then report them all."""
     base = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    return os.path.join(base, name)
+    paths = [os.path.join(base, name) for name, _ in outputs]  # an absolute name is kept as given
+    for path, (_, data) in zip(paths, outputs):
+        atomic_write_bytes(path, data)
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def _emit(args, data: bytes) -> None:
     if args.csv:
-        path = _out_path(args, args.csv)
-        atomic_write_bytes(path, data)
-        print(f"wrote {path}")
+        _write(args, [(args.csv, data)])
     else:
         sys.stdout.write(data.decode("ascii"))
 
@@ -308,12 +316,8 @@ def _grid_inputs(args, check_size) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _write_grid(args, grid, scale: float) -> int:
     """Write a grid command's CSV and PGM, then print their paths and the grid maximum."""
-    csv_path = _out_path(args, args.csv)
-    pgm_path = _out_path(args, args.pgm)
-    atomic_write_bytes(csv_path, grid_to_csv_bytes(grid))
-    atomic_write_bytes(pgm_path, grid_to_pgm_bytes(grid, scale=scale))
-    print(f"wrote {csv_path}")
-    print(f"wrote {pgm_path}")
+    _write(args, [(args.csv, grid_to_csv_bytes(grid)),
+                  (args.pgm, grid_to_pgm_bytes(grid, scale=scale))])
     finite = np.isfinite(grid.values)
     if not finite.any():
         print("no valid cells")

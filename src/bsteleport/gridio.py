@@ -8,7 +8,6 @@ files, and all file output goes through an atomic replace.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -19,14 +18,16 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _csv_bytes(header: str, rows) -> bytes:
+    """ASCII CSV: the header line, then one line per row, each ending in a newline."""
+    return "\n".join([header, *rows, ""]).encode("ascii")
+
+
 def grid_to_csv_bytes(grid: FidelityGrid) -> bytes:
     """CSV with header beta,m,value; rows vary beta fastest within each m."""
-    lines = ["beta,m,value"]
-    for i, m in enumerate(grid.m_axis):
-        for k, beta in enumerate(grid.beta_axis):
-            lines.append(f"{_fmt(beta)},{_fmt(m)},{_fmt(grid.values[i, k])}")
-    lines.append("")
-    return "\n".join(lines).encode("ascii")
+    return _csv_bytes("beta,m,value", (f"{_fmt(beta)},{_fmt(m)},{_fmt(grid.values[i, k])}"
+                                       for i, m in enumerate(grid.m_axis)
+                                       for k, beta in enumerate(grid.beta_axis)))
 
 
 def grid_to_pgm_bytes(grid: FidelityGrid, scale: float = 1.0) -> bytes:
@@ -47,36 +48,25 @@ def grid_to_pgm_bytes(grid: FidelityGrid, scale: float = 1.0) -> bytes:
 
 def distribution_to_csv_bytes(dist: OutcomeDistribution) -> bytes:
     """CSV with header q,p,f; undefined fidelities serialize as nan."""
-    lines = ["q,p,f"]
-    for q in range(dist.q_min, dist.q_max + 1):
-        i = q - dist.q_min
-        lines.append(f"{q},{_fmt(dist.p[i])},{_fmt(dist.f[i])}")
-    lines.append("")
-    return "\n".join(lines).encode("ascii")
+    return _csv_bytes("q,p,f", (f"{q},{_fmt(dist.p[i])},{_fmt(dist.f[i])}"
+                                for i, q in enumerate(range(dist.q_min, dist.q_max + 1))))
 
 
 def coeffs_to_csv_bytes(coeffs: np.ndarray) -> bytes:
     """CSV with header index,real,imag for a complex coefficient vector."""
-    lines = ["index,real,imag"]
-    for n, z in enumerate(coeffs):
-        z = complex(z)
-        lines.append(f"{n},{_fmt(z.real)},{_fmt(z.imag)}")
-    lines.append("")
-    return "\n".join(lines).encode("ascii")
+    return _csv_bytes("index,real,imag", (f"{n},{_fmt(z.real)},{_fmt(z.imag)}"
+                                          for n, z in enumerate(coeffs)))
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write data to path via a same-directory temp file and atomic replace."""
+    """Write data to path via a same-directory temp file, made as open() makes a file, and atomic replace."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        # mkstemp creates the file 0600; give it the mode open() would have
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -123,6 +123,7 @@ REFUSALS = [
       "--csv", "blocker/s.csv"], 3, 1),
     (["sweep", "--target", "fock", "--total", "3", "--beta-steps", "3", "--m-range", "1e308:1e308",
       "--csv", "blocker/s.csv"], 3, 1),
+    (["resource", "--n-in", "1", "--m-in", "0", "--beta", "-1e-3"], 1, 0),
 ]
 
 
@@ -429,6 +430,43 @@ class TestOutputRouting:
         assert main(["resource", "--n-in", "1", "--m-in", "0",
                      "--csv", str(blocker / "r.csv")]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_pgm_exits_3(self, tmp_path, capsys):
+        # the CSV is written first; no "wrote" line reaches stdout when a later write fails
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"")
+        assert main(["sweep", "--target", "fock", "--total", "2", "--beta-steps", "3",
+                     "--out-dir", str(tmp_path), "--pgm", str(blocker / "s.pgm")]) == 3
+        captured = capsys.readouterr()
+        assert [line.split(" ", 1)[0] for line in captured.err.splitlines()] == ["error:"]
+        assert captured.out == ""
+
+
+class TestNegativeValues:
+    def test_exponent_notation_m(self, capsys):
+        assert main(["fidelity", "--total", "3", "--m", "-5e-1"]) == 0
+        exponent = capsys.readouterr().out
+        assert main(["fidelity", "--total", "3", "--m", "-0.5"]) == 0
+        assert exponent == capsys.readouterr().out
+
+    def test_negative_m_range(self, tmp_path, capsys):
+        base = ["sweep", "--target", "fock", "--total", "2", "--beta-steps", "3"]
+        assert main(base + ["--m-range", "-1:1", "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(base + ["--m-range=-1:1", "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("fidelity_sweep.csv", "fidelity_sweep.pgm"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("total = 3\nm = -5e-1\n")
+        assert main(["fidelity", "--config", str(cfg)]) == 0
+        with_config = capsys.readouterr().out
+        assert main(["fidelity", "--total", "3", "--m", "-0.5"]) == 0
+        assert with_config == capsys.readouterr().out
+
+    def test_negative_beta_is_refused_by_value(self, capsys):
+        assert main(["resource", "--n-in", "1", "--m-in", "0", "--beta", "-1e-3"]) == 1
+        assert capsys.readouterr().err == "error: beta=-0.001 outside [0, pi]\n"
 
 
 class TestConfigFile:

@@ -132,6 +132,23 @@ class TestAtomicWrite:
             os.umask(old)
         assert stat.filemode(path.stat().st_mode) == "-rw-r--r--"
 
+    def test_mode_follows_a_strict_umask(self, tmp_path):
+        path = tmp_path / "out.csv"
+        old = os.umask(0o077)
+        try:
+            atomic_write_bytes(str(path), b"data")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_process_umask_is_never_changed(self, tmp_path, monkeypatch):
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        atomic_write_bytes(str(tmp_path / "out.csv"), b"data")
+        assert (tmp_path / "out.csv").read_bytes() == b"data"
+
     def test_failed_replace_cleans_up(self, tmp_path):
         target = tmp_path / "adir"
         target.mkdir()

@@ -172,11 +172,11 @@ class TestGridRoute:
         worst = 0.0
         for total in range(41):
             factor = _factor(total)
+            unitaries = [sector_unitary(total, beta) for beta in BETA_GRID]  # one exponential per sector
             for col in range(total + 1):
                 columns = _rotated_column(factor, col, np.array(BETA_GRID))
-                for beta, column in zip(BETA_GRID, columns):
-                    unitary = sector_unitary_column(ResourceParams(col, total - col, beta))
-                    worst = max(worst, np.max(np.abs(_resource(column, col) - unitary)))
+                for unitary, column in zip(unitaries, columns):
+                    worst = max(worst, np.max(np.abs(_resource(column, col) - unitary[:, col])))
         assert worst < 1e-13
 
 
