@@ -21,7 +21,7 @@ import numpy as np
 
 from .gridio import (
     _fmt,
-    atomic_write_bytes,
+    atomic_write_files,
     coeffs_to_csv_bytes,
     distribution_to_csv_bytes,
     grid_to_csv_bytes,
@@ -59,9 +59,9 @@ _SWITCH_KEYS = {"verbose"}
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value such as -5e-1 or -1:1 is read as a value, not only -123 and -1.5;
-        # no option name starts with "-" and a digit or "."
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # a value such as -5e-1, -1:1 or -inf is read as a value, not only -123 and -1.5;
+        # no option name starts with "-" and a digit, "." or inf, infinity or nan
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)\b)", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)
@@ -197,12 +197,11 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def _write(args, outputs: list[tuple[str, bytes]]) -> None:
-    """Write each (name, data) file, relative names under the output directory, then report them all."""
+    """Write every (name, data) file or none, relative names under the output directory, then report them all."""
     base = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    paths = [os.path.join(base, name) for name, _ in outputs]  # an absolute name is kept as given
-    for path, (_, data) in zip(paths, outputs):
-        atomic_write_bytes(path, data)
-    for path in paths:
+    files = [(os.path.join(base, name), data) for name, data in outputs]  # an absolute name is kept as given
+    atomic_write_files(files)
+    for path, _ in files:
         print(f"wrote {path}")
 
 

@@ -25,9 +25,13 @@ def _csv_bytes(header: str, rows) -> bytes:
 
 def grid_to_csv_bytes(grid: FidelityGrid) -> bytes:
     """CSV with header beta,m,value; rows vary beta fastest within each m."""
-    return _csv_bytes("beta,m,value", (f"{_fmt(beta)},{_fmt(m)},{_fmt(grid.values[i, k])}"
-                                       for i, m in enumerate(grid.m_axis)
-                                       for k, beta in enumerate(grid.beta_axis)))
+    # each axis value is formatted once; tolist() hands the cells over as Python floats
+    betas = [_fmt(beta) + "," for beta in grid.beta_axis.tolist()]
+    rows = []
+    for m, values in zip(grid.m_axis.tolist(), grid.values.tolist()):
+        m = _fmt(m) + ","
+        rows.extend(beta + m + _fmt(value) for beta, value in zip(betas, values))
+    return _csv_bytes("beta,m,value", rows)
 
 
 def grid_to_pgm_bytes(grid: FidelityGrid, scale: float = 1.0) -> bytes:
@@ -58,17 +62,32 @@ def coeffs_to_csv_bytes(coeffs: np.ndarray) -> bytes:
                                           for n, z in enumerate(coeffs)))
 
 
+def atomic_write_files(files: list[tuple[str, bytes]]) -> None:
+    """Write each (path, data) through a same-directory temp file, made as open() makes a file.
+
+    Every temp file is written before any path is replaced, each by an
+    atomic replace; if a write fails, the temp files are removed and no
+    path has changed.
+    """
+    temps = []
+    try:
+        for path, data in files:
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write data to path via a same-directory temp file, made as open() makes a file, and atomic replace."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_files([(path, data)])

@@ -1,7 +1,8 @@
 """Rotation-matrix columns D^j_{m',m}(beta) of the spin-j sector, by two routes.
 
-A grid factors the tridiagonal generator of its sector once and rotates
-every column it needs from that factorization (_factor, _rotated_column).
+A grid factors the tridiagonal generator of its sector once, takes the
+cosine and sine of each block of angles once (_trig), and rotates every
+column it needs from those (_rotate).
 A single point solves for its one column as the eigenvector of the
 rotated generator at its exact eigenvalue (_column), in O(j) time and
 memory: LAPACK stein runs inverse iteration at that eigenvalue, and stebz
@@ -115,9 +116,9 @@ def _factor_bytes(two_j: int) -> int:
 
 
 def _rotation_bytes(two_j: int) -> int:
-    """Bytes _rotated_column holds per beta sample: 38.6 per level were seen at total 100."""
-    # per level the angles, their cosine or sine, its product with the column's row,
-    # a half product and the output
+    """Bytes _trig and _rotate hold per beta sample: 38.6 per level were seen at total 100."""
+    # per level the cosine and sine (with the angles while they are made), the product
+    # of one with the column's row, a half product and the output
     return 40 * (two_j + 1)
 
 
@@ -132,21 +133,32 @@ def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return eigh_tridiagonal(np.zeros(two_j + 1), _offdiagonal(two_j))
 
 
+def _trig(factor: tuple[np.ndarray, np.ndarray], beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(beta, cos(beta w), sin(beta w)) for the generator's eigenvalues w; every column at these betas shares them."""
+    beta = np.asarray(beta, dtype=float)
+    angles = beta[..., None] * factor[0]
+    return beta, np.cos(angles), np.sin(angles)
+
+
 def _rotated_column(factor: tuple[np.ndarray, np.ndarray], col: int, beta) -> np.ndarray:
-    """Real column `col` of D(beta), shape beta.shape + (dim,), from the generator's factorization.
+    """Real column `col` of D(beta), shape beta.shape + (dim,), from the generator's factorization."""
+    return _rotate(factor, col, _trig(factor, beta))
+
+
+def _rotate(factor: tuple[np.ndarray, np.ndarray], col: int, trig) -> np.ndarray:
+    """Real column `col` of D(beta) from the factorization and _trig(factor, beta).
 
     e^{i beta G} is cos(beta G), which keeps the row parity, plus i sin(beta G),
     which flips it: after the exact i^{n-col} twist each half of the column is
     one real product.  beta == 0 gives the exact delta.
     """
     w, v = factor
+    beta, cos, sin = trig
     dim = len(w)
-    beta = np.asarray(beta, dtype=float)
-    angles = beta[..., None] * w
     same = col % 2
     out = np.empty(beta.shape + (dim,))
-    out[..., same::2] = (np.cos(angles) * v[col]) @ v[same::2].T
-    out[..., 1 - same::2] = (np.sin(angles) * v[col]) @ v[1 - same::2].T
+    out[..., same::2] = (cos * v[col]) @ v[same::2].T
+    out[..., 1 - same::2] = (sin * v[col]) @ v[1 - same::2].T
     # the twist i^k times cos (k even) or i sin (k odd), k = n - col mod 4
     out *= np.array([1.0, -1.0, -1.0, 1.0])[(np.arange(dim) - col) % 4]
     out[beta == 0.0] = np.eye(1, dim, col)
@@ -224,7 +236,7 @@ def wigner_d_column_stable(j, m_col, beta: float) -> np.ndarray:
     """Full column D^j_{m',m}(beta), m' = -j..j, by the point route's one eigenvector solve.
 
     Real arithmetic, O(j) time and memory, accurate at any j; grids factor
-    the generator once instead (_factor, _rotated_column).
+    the generator once instead (_factor, _trig, _rotate).
     """
     beta = _check_beta(beta)
     two_j, two_m = _doubled(j, m_col=m_col)

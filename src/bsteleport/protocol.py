@@ -16,9 +16,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import _check_budget, _check_integer, _factor, _factor_bytes, _rotated_column, _rotation_bytes
-from .states import ResourceCoeffs, ResourceParams, TargetCoeffs, _resource
+from . import numerics
+from .numerics import _check_budget, _check_integer, _factor, _factor_bytes, _rotate, _rotation_bytes, _trig
+from .states import ResourceCoeffs, ResourceParams, TargetCoeffs
 
 # outcomes with probability at or below this are treated as unobservable
 DEFINED_MIN = 1e-15
@@ -26,6 +28,9 @@ DEFINED_MIN = 1e-15
 # phase map's real FFT blocks ran ~1.7x slower as one 101-beta chunk than in
 # chunks this size (30 betas at total 100, K = 4096; 2 cores, one BLAS thread)
 _CHUNK_BYTES = 21 << 17  # 2.625 MiB
+# output levels q per band product of the fidelity sweep's reduction; blocks of
+# 64 to 256 ran alike at totals 100 to 4000 (2 cores, one BLAS thread)
+_BAND_BLOCK = 128
 
 
 class UndefinedOutcomeError(ValueError):
@@ -126,8 +131,9 @@ def _outcomes(target: TargetCoeffs, d: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """(p, p f) over q for coefficients d with n last: target weights convolved with |d|^2, Re d, Im d.
 
     The sequences are laid end to end, each followed by cutoff zeros, so one
-    np.convolve serves them all without one reaching into the next; no
-    Toeplitz matrix is built.
+    np.convolve serves them all without one reaching into the next.  Points
+    take this route: for one column it ran 2-4x faster than the sweep's band
+    products (_sweep_outcomes), which pay off only over a block of columns.
     """
     w = _abs2(target.coeffs)
     x = np.zeros((3,) + d.shape[:-1] + (len(w) + d.shape[-1] - 1,))
@@ -136,12 +142,68 @@ def _outcomes(target: TargetCoeffs, d: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return out[0], out[1] ** 2 + out[2] ** 2
 
 
+def _band(w: np.ndarray, shift: int, rows: int, cols: int) -> np.ndarray:
+    """Block B[r, c] = w[shift + c - r] of the Toeplitz matrix of w, zero where the index leaves w."""
+    lo = shift - rows + 1
+    window = np.zeros(rows + cols - 1)  # window[i] = w[lo + i]
+    weights = w[max(0, lo):max(0, lo + len(window))]
+    window[max(0, -lo):max(0, -lo) + len(weights)] = weights
+    # row r is the window of cols entries from rows - 1 - r
+    return np.ascontiguousarray(sliding_window_view(window, cols)[::-1])
+
+
+def _sweep_outcomes(w: np.ndarray, column: np.ndarray, n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p f) of _outcomes for the resource states._resource(column, n_in) and weights w, in real arithmetic.
+
+    The resource is i^(n_in - n) times the real column: its levels of n_in's
+    parity are real, the others imaginary, each times the sign of that power.
+    Each of |d|^2 and the two signed parts is multiplied by the Toeplitz
+    matrix T[n, q] = w[q - n] in tiles of at most _BAND_BLOCK levels n by
+    _BAND_BLOCK outcomes q, taking only the tiles of the band.
+    """
+    dim, length = column.shape[-1], len(w)
+    n_q = dim + length - 1
+    parts = [(column**2, 0, 1)]
+    for first in (n_in % 2, 1 - n_in % 2):
+        # level first + 2j carries i^(n_in - first - 2j), whose sign flips with j
+        x = column[..., first::2] * (1.0 - 2.0 * ((n_in - first) % 4 // 2))
+        x[..., 1::2] *= -1.0
+        parts.append((x, first, 2))
+    out = np.empty((3,) + column.shape[:-1] + (n_q,))
+    for q0 in range(0, n_q, _BAND_BLOCK):
+        q1 = min(q0 + _BAND_BLOCK, n_q)
+        n_lo = max(0, q0 - length + 1)
+        for n0 in range(n_lo, min(dim, q1), _BAND_BLOCK):
+            n1 = min(n0 + _BAND_BLOCK, dim, q1)
+            band = _band(w, q0 - n0, n1 - n0, q1 - q0)
+            for o, (x, first, step) in zip(out, parts):
+                j0, j1 = -((first - n0) // step), -((first - n1) // step)  # entries j with level first + step j in n0..n1-1
+                product = x[..., j0:j1] @ band[first + step * j0 - n0::step]
+                if n0 == n_lo:
+                    o[..., q0:q1] = product
+                else:
+                    block = o[..., q0:q1]
+                    block += product
+            del band, product  # freed before the next tile's are made
+    p, real, imag = out
+    real *= real
+    imag *= imag
+    real += imag
+    return p, real
+
+
 def _sweep_bytes(dim: int, length: int) -> tuple[int, int]:
     """Bytes the fidelity sweep's reduction holds per real column of dim levels, and once per chunk."""
-    # per column its complex resource and, per entry of the convolved sequences, 3 stacked
-    # inputs, 3 outputs and 3 products; per chunk the target's weights, the reversed copy
-    # np.convolve takes and the convolution's tail (35 bytes per entry seen at length 4097)
-    return 16 * dim + 72 * (dim + length), 40 * length
+    # per column its three inputs, the three outputs and two tiles' products (one is freed
+    # only as the next is made), then the masked sum's mask and copy; per chunk the target's
+    # weights, one tile and its window and, where a block of outcomes takes more than one
+    # tile, the two buffers of np.getbufsize() doubles numpy takes to add a tile's product
+    # to the strided block
+    n_q = dim + length - 1
+    cols = min(_BAND_BLOCK, n_q)
+    rows = min(_BAND_BLOCK, dim)
+    buffers = 16 * np.getbufsize() if min(dim, cols + length - 1) > _BAND_BLOCK else 0
+    return 16 * dim + 33 * n_q + 16 * cols, 8 * (length + cols * rows + rows + cols) + buffers
 
 
 def _average(target: TargetCoeffs, d: np.ndarray) -> np.ndarray:
@@ -202,23 +264,26 @@ def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int]
     """Beta samples per chunk of a grid row, refusing a grid over MAX_GRID_BYTES before allocating.
 
     reduce_bytes is what the row reduction holds per beta sample and once per
-    chunk.  The need is the factor, the output and one chunk.
+    chunk.  The need is the factor, the output and one chunk.  A chunk fills
+    _CHUNK_BYTES or, if less, what the limit leaves, with one beta sample at least.
     """
     _check_integer("total", total)
     per_beta, per_chunk = reduce_bytes
     per_beta += _rotation_bytes(total)
-    chunk = max(1, min(n_beta, (_CHUNK_BYTES - per_chunk) // per_beta))
-    _check_budget(_factor_bytes(total) + 8 * n_beta * n_m + per_chunk + chunk * per_beta,
-                  f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
+    fixed = _factor_bytes(total) + 8 * n_beta * n_m + per_chunk
+    room = min(_CHUNK_BYTES - per_chunk, numerics.MAX_GRID_BYTES - fixed)  # the limit as set at call time
+    chunk = max(1, min(n_beta, room // per_beta))
+    _check_budget(fixed + chunk * per_beta, f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
     return chunk
 
 
 def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, int], label: str) -> FidelityGrid:
     """One value per (m, beta) at fixed total, from one factor of the sector generator.
 
-    Each compatible m row is rotated as real column blocks over chunks of the
-    beta axis and reduce_row(column, n_in) turns a block into one value per
-    beta, holding reduce_bytes (see _beta_chunk); other rows warn and stay NaN.
+    The beta axis is taken in chunks; each compatible m row is rotated as a
+    real column block over a chunk, from one cosine and sine of the chunk's
+    angles, and reduce_row(column, n_in) turns the block into one value per
+    beta, holding reduce_bytes (see _beta_chunk).  Other rows warn and stay NaN.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
@@ -232,14 +297,17 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
 
     factor = _factor(total)
     values = np.full((len(m_axis), len(beta_axis)), np.nan)
+    rows = []
     for i, m in enumerate(m_axis):
         split = split_total(total, m)
         if split is None:
             warnings.warn(f"m={m:g} incompatible with total={total}; row marked invalid")
-            continue
-        for k in range(0, len(beta_axis), chunk):
-            column = _rotated_column(factor, split[0], beta_axis[k:k + chunk])
-            values[i, k:k + chunk] = reduce_row(column, split[0])
+        else:
+            rows.append((i, split[0]))
+    for k in range(0, len(beta_axis), chunk):
+        trig = _trig(factor, beta_axis[k:k + chunk])  # one cosine and sine for every row
+        for i, n_in in rows:
+            values[i, k:k + chunk] = reduce_row(_rotate(factor, n_in, trig), n_in)
     return FidelityGrid(beta_axis, m_axis, values, total, label)
 
 
@@ -249,8 +317,13 @@ def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> Fidel
     Grid cells whose m is incompatible with the total are reported with a
     warning and filled with NaN.
     """
-    return _grid(total, beta_axis, m_axis, lambda column, n_in: _average(target, _resource(column, n_in)),
-                 _sweep_bytes(total + 1, len(target.coeffs)), target.label)
+    w = _abs2(target.coeffs)
+
+    def reduce_row(column, n_in):
+        p, pf = _sweep_outcomes(w, column, n_in)
+        return np.where(p > DEFINED_MIN, pf, 0.0).sum(axis=-1)
+
+    return _grid(total, beta_axis, m_axis, reduce_row, _sweep_bytes(total + 1, len(w)), target.label)
 
 
 def check_sweep_size(target: TargetCoeffs, total: int, n_beta: int, n_m: int) -> None:

@@ -1,6 +1,7 @@
 """End-to-end checks for the command-line interface."""
 
 import math
+import os
 import re
 
 import pytest
@@ -432,7 +433,7 @@ class TestOutputRouting:
         assert "error" in capsys.readouterr().err
 
     def test_unwritable_pgm_exits_3(self, tmp_path, capsys):
-        # the CSV is written first; no "wrote" line reaches stdout when a later write fails
+        # a failed PGM write leaves no CSV and no temp file, and no "wrote" line reaches stdout
         blocker = tmp_path / "blocker"
         blocker.write_bytes(b"")
         assert main(["sweep", "--target", "fock", "--total", "2", "--beta-steps", "3",
@@ -440,6 +441,7 @@ class TestOutputRouting:
         captured = capsys.readouterr()
         assert [line.split(" ", 1)[0] for line in captured.err.splitlines()] == ["error:"]
         assert captured.out == ""
+        assert os.listdir(tmp_path) == ["blocker"]
 
 
 class TestNegativeValues:
@@ -463,6 +465,15 @@ class TestNegativeValues:
         with_config = capsys.readouterr().out
         assert main(["fidelity", "--total", "3", "--m", "-0.5"]) == 0
         assert with_config == capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    def test_non_finite_m_is_refused_by_value(self, value, capsys):
+        # both spellings reach the value check, in any case
+        assert main(["fidelity", "--total", "3", "--m", value]) == 1
+        separate = capsys.readouterr().err
+        assert main(["fidelity", "--total", "3", f"--m={value}"]) == 1
+        assert separate == capsys.readouterr().err
+        assert separate.startswith("error: m=") and separate.endswith(" is incompatible with total=3\n")
 
     def test_negative_beta_is_refused_by_value(self, capsys):
         assert main(["resource", "--n-in", "1", "--m-in", "0", "--beta", "-1e-3"]) == 1

@@ -9,6 +9,7 @@ import pytest
 
 from bsteleport.gridio import (
     atomic_write_bytes,
+    atomic_write_files,
     coeffs_to_csv_bytes,
     distribution_to_csv_bytes,
     grid_to_csv_bytes,
@@ -45,6 +46,22 @@ class TestGridCsv:
     def test_deterministic(self):
         grid = _tiny_grid([[0.1, 0.2], [0.3, 0.4]])
         assert grid_to_csv_bytes(grid) == grid_to_csv_bytes(grid)
+
+    def test_matches_a_per_cell_loop(self):
+        # a NaN row, signed zeros, a subnormal, infinities and odd axis values,
+        # against one literal "%.17g" line per cell
+        beta_axis = np.array([0.0, 1e-320, math.pi / 3, -0.0])
+        m_axis = np.array([-1.5, 0.0, 2.0])
+        values = np.array([[np.nan] * 4,
+                           [-0.0, 5e-324, 1.0 / 3.0, np.inf],
+                           [0.0, -2.5e-310, -np.inf, 0.1]])
+        grid = FidelityGrid(beta_axis, m_axis, values, 4, "test")
+        lines = ["beta,m,value"]
+        for i in range(len(m_axis)):
+            for k in range(len(beta_axis)):
+                lines.append("%.17g,%.17g,%.17g" % (beta_axis[k], m_axis[i], values[i, k]))
+        assert grid_to_csv_bytes(grid) == ("\n".join(lines) + "\n").encode("ascii")
+        assert b"nan" in grid_to_csv_bytes(grid) and b",-0\n" in grid_to_csv_bytes(grid)
 
 
 class TestGridPgm:
@@ -107,6 +124,23 @@ class TestCoeffsCsv:
 
 
 class TestAtomicWrite:
+    def test_failed_write_replaces_no_file(self, tmp_path):
+        # the first file's temp is written, the second cannot be made; nothing is replaced
+        first = tmp_path / "a.csv"
+        first.write_bytes(b"old")
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"")
+        with pytest.raises(OSError):
+            atomic_write_files([(str(first), b"new"), (str(blocker / "b.pgm"), b"data")])
+        assert first.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "blocker"]
+
+    def test_writes_every_file(self, tmp_path):
+        atomic_write_files([(str(tmp_path / "a.csv"), b"one"), (str(tmp_path / "d" / "b.pgm"), b"two")])
+        assert (tmp_path / "a.csv").read_bytes() == b"one"
+        assert (tmp_path / "d" / "b.pgm").read_bytes() == b"two"
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "d"]
+
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "a" / "b" / "out.csv"
         atomic_write_bytes(str(path), b"payload")

@@ -42,6 +42,8 @@ CASES = {
     "phase-map-K-prime": lambda: (partial(phase_argmax_map, 10, [0.5, 1.0], [0.0], PRIME_GRID),
                                   ("rfft", PRIME_GRID)),
     "cutoff-4096": lambda: (partial(fidelity_sweep, fock_coeffs(0, 4096), 100, FIG_BETAS[::10], [0.0]), None),
+    "sweep-total-1000": lambda: (partial(fidelity_sweep, cat_coeffs(3.0, suggest_cutoff(3.0)), 1000,
+                                         FIG_BETAS[::2], [0.0, 250.0]), None),
     "point-total-1e3": lambda: (partial(resource_coeffs, ResourceParams(500, 500, 1.0)), None),
     "point-total-1e4": lambda: (partial(resource_coeffs, ResourceParams(5000, 5000, 1.0)), None),
     "point-total-1e5": lambda: (partial(resource_coeffs, ResourceParams(50_000, 50_000, 1.0)), None),
@@ -101,4 +103,33 @@ def test_checked_need_bounds_the_peak(case, monkeypatch):
         peak += _untraced_fft_bytes(*transform)
     need = max(needs)
     # the need holds the peak, and counts it at most twice
+    assert peak <= need <= 2 * peak, (need, peak)
+
+
+# total, beta samples and target of one sweep reduction: the figure's row, weights
+# longer than the sector, and totals where the band is blocked
+REDUCTIONS = {
+    "fig2-row": (100, 101, lambda: cat_coeffs(3.0, suggest_cutoff(3.0))),
+    "cutoff-4096": (100, 11, lambda: fock_coeffs(0, 4096)),
+    "total-1000": (1000, 29, lambda: cat_coeffs(3.0, suggest_cutoff(3.0))),
+    "total-1000-one-beta": (1000, 1, lambda: cat_coeffs(3.0, suggest_cutoff(3.0))),
+}
+
+
+@pytest.mark.parametrize("case", REDUCTIONS)
+def test_sweep_reduction_count_bounds_its_peak(case):
+    # the sweep's band reduction alone against its own count, per column and per chunk
+    total, n_beta, make_target = REDUCTIONS[case]
+    w = protocol._abs2(make_target().coeffs)
+    column = numerics._rotated_column(numerics._factor(total), total // 2, np.linspace(0.1, 3.0, n_beta))
+    per_column, per_chunk = protocol._sweep_bytes(total + 1, len(w))
+    protocol._sweep_outcomes(w, column, total // 2)
+    tracemalloc.start()
+    try:
+        p, pf = protocol._sweep_outcomes(w, column, total // 2)
+        np.where(p > protocol.DEFINED_MIN, pf, 0.0).sum(axis=-1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = n_beta * per_column + per_chunk
     assert peak <= need <= 2 * peak, (need, peak)

@@ -20,6 +20,7 @@ from bsteleport.protocol import (
     output_state,
     split_total,
 )
+from bsteleport.numerics import _factor, _rotated_column
 from bsteleport.states import (
     ResourceParams,
     TargetCoeffs,
@@ -27,7 +28,9 @@ from bsteleport.states import (
     coherent_coeffs,
     fock_coeffs,
     resource_coeffs,
+    suggest_cutoff,
 )
+from bsteleport.states import _resource
 from reference import fidelity_given_q_double_sum, number_sum_prob_literal
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
@@ -384,9 +387,10 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too: 1288 bytes for the
-        # total-2 grid of one beta by one m, 2240 for three betas by two
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 2000)
+        # the budget counts beta samples and m rows too: 1235 bytes for the
+        # total-2 grid of one beta by one m, 1275 for three betas by two in
+        # chunks of one beta
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1250)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
@@ -404,3 +408,31 @@ class TestFidelitySweep:
         assert protocol._beta_chunk(8, len(beta_axis), 2, reduce_bytes) == 3
         chunked = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
         assert np.max(np.abs(whole.values - chunked.values)) < 1e-14
+
+
+# target, total and betas of the sweep's band reduction against the point route
+SWEEP_REDUCTIONS = {
+    "total-0": (fock_coeffs(0, 3), 0, [0.5, 2.0]),
+    "one-weight": (fock_coeffs(0, 0), 9, [0.3, math.pi / 2]),
+    "weights-beyond-the-sector": (fock_coeffs(0, 4096), 40, [0.4, 2.5]),
+    "total-1000": (cat_coeffs(3.0, suggest_cutoff(3.0)), 1000, [0.2, 1.3, 2.9]),
+    "coherent": (coherent_coeffs(2.0, 40), 30, [0.7, math.pi / 2, 2.2]),
+    "delta-columns": (cat_coeffs(2.0, 25), 20, [0.0, math.pi]),
+}
+
+
+class TestSweepReduction:
+    @pytest.mark.parametrize("target, total, betas", SWEEP_REDUCTIONS.values(), ids=SWEEP_REDUCTIONS)
+    def test_band_products_match_the_convolution(self, target, total, betas):
+        # the sweep's real band products (protocol._sweep_outcomes) against the
+        # points' np.convolve of the complex resource, on the same columns
+        w = protocol._abs2(target.coeffs)
+        factor = _factor(total)
+        for n_in in sorted({0, 1, total // 3, total // 2, total - 1, total} & set(range(total + 1))):
+            column = _rotated_column(factor, n_in, np.array(betas))
+            p, pf = protocol._sweep_outcomes(w, column, n_in)
+            want_p, want_pf = protocol._outcomes(target, _resource(column, n_in))
+            assert p.shape == want_p.shape == (len(betas), total + len(w))
+            scale = want_p.max()
+            assert np.max(np.abs(p - want_p)) <= 1e-15 * scale
+            assert np.max(np.abs(pf - want_pf)) <= 1e-15 * scale
