@@ -25,8 +25,9 @@ from .states import ResourceCoeffs, ResourceParams, TargetCoeffs
 # outcomes with probability at or below this are treated as unobservable
 DEFINED_MIN = 1e-15
 # bytes of rotation and reduction work in one chunk of a row's beta samples; the
-# phase map's real FFT blocks ran ~1.7x slower as one 101-beta chunk than in
-# chunks this size (30 betas at total 100, K = 4096; 2 cores, one BLAS thread)
+# phase map ran ~1.7x slower on its FFT route and ~2x on its table route as one
+# 101-beta chunk than in chunks this size (30 and 35 betas at total 100, K = 4096;
+# 2 cores, one BLAS thread)
 _CHUNK_BYTES = 21 << 17  # 2.625 MiB
 # output levels q per band product of the fidelity sweep's reduction; blocks of
 # 64 to 256 ran alike at totals 100 to 4000 (2 cores, one BLAS thread)

@@ -1,5 +1,6 @@
 """End-to-end checks for the command-line interface."""
 
+import hashlib
 import math
 import os
 import re
@@ -362,6 +363,17 @@ class TestSweepCommand:
 
 
 class TestPhaseMapCommand:
+    def test_fig3_bytes(self, capsys, tmp_path):
+        # the figure's files, pinned: each cell is 2 pi k / K printed with %.17g, so
+        # the bytes depend on which grid point wins, not on the BLAS library
+        assert main(["phase-map", "--total", "100", "--beta-steps", "101", "--out-dir", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("phase_map.csv", "phase_map.pgm")}
+        assert digests == {
+            "phase_map.csv": "cedb423699a0257ccd2a52e12ed727bf3a588ec40fc69b05b390d146a0e166fc",
+            "phase_map.pgm": "09c4d62cee7c73fc04a5db320b82b8e172e57a15d1231135d3ab50878c74b3dc",
+        }
+
     def test_center_value(self, tmp_path):
         assert main(["phase-map", "--total", "2", "--beta-steps", "3", "--workers", "1",
                      "--out-dir", str(tmp_path)]) == 0

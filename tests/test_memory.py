@@ -35,6 +35,9 @@ CASES = {
     "fig2-sweep": lambda: (partial(fidelity_sweep, cat_coeffs(3.0, suggest_cutoff(3.0)), 100,
                                    FIG_BETAS, FIG_MS), None),
     "fig3-phase-map": lambda: (partial(phase_argmax_map, 100, FIG_BETAS, FIG_MS), None),
+    # the largest table the map's table route takes at K = 4096, then one level past it
+    "phase-map-largest-table": lambda: (partial(phase_argmax_map, 126, FIG_BETAS, [0.0, 1.0, 2.0]), None),
+    "phase-map-past-the-table": lambda: (partial(phase_argmax_map, 127, FIG_BETAS, [0.5, 1.5, 2.5]), None),
     "fig3-axes-K16-folded": lambda: (partial(phase_argmax_map, 100, FIG_BETAS, FIG_MS, 16), None),
     "beta-axis-1e6": lambda: (partial(phase_argmax_map, 2, np.linspace(0.0, np.pi, 10**6), [0.0], 16), None),
     "phase-map-K-2pow20": lambda: (partial(phase_argmax_map, 10, [0.5, 1.0, 2.0], [0.0, 1.0], 2**20),
@@ -104,6 +107,13 @@ def test_checked_need_bounds_the_peak(case, monkeypatch):
     need = max(needs)
     # the need holds the peak, and counts it at most twice
     assert peak <= need <= 2 * peak, (need, peak)
+
+
+def test_table_cases_sit_on_each_side_of_the_rule():
+    assert phase._takes_table(127, 4096)
+    assert phase._table_bytes(128, 4096) > phase._TABLE_MAX_BYTES >= phase._table_bytes(127, 4096)
+    assert not phase._takes_table(128, 4096)
+    assert phase._takes_table(101, 4096)  # fig-3
 
 
 # total, beta samples and target of one sweep reduction: the figure's row, weights

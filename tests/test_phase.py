@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bsteleport import phase, protocol
+from bsteleport import numerics, phase, protocol
 from bsteleport.phase import (
     DEFAULT_PHASE_GRID,
     MIN_PHASE_GRID,
@@ -16,6 +16,12 @@ from bsteleport.phase import (
 )
 from bsteleport.states import ResourceCoeffs, ResourceParams, resource_coeffs
 from reference import joint_phase_prob
+
+
+# shapes (total, K) of test_half_spectrum_cells_match_point_readings that take the table route
+TABLE_SHAPES = {(99, 4096), (100, 4096), (0, 256), (15, 256), (63, 1026), (100, 4094), (0, 258), (126, 4096)}
+# the CLI's beta axis: N interior samples pi k / (N + 1)
+CLI_BETAS = np.pi * np.arange(1, 102) / 102
 
 
 def _balanced(total: int, beta: float) -> ResourceCoeffs:
@@ -209,11 +215,19 @@ class TestArgmaxMap:
         (37, 16), (200, 128),  # more coefficients than grid points: they fold
         (37, 64), (99, 4096),  # odd totals: half-integer m
         (100, 4096),
+        (0, 256), (0, 257),  # one level, on each route
+        (15, 256), (16, 256),  # K = 16 D, then one level past it
+        (0, 128), (7, 128),  # K below the table's floor
+        (63, 1026), (64, 1026), (100, 4094), (0, 258),  # K = 2 mod 4: no k = K/4 point
+        (126, 4096), (127, 4096),  # the largest table, then one level past it
+        (101, 4095),
     ])
     def test_half_spectrum_cells_match_point_readings(self, total, grid_size):
-        # the map reads half of a real FFT of the rotation block, the point
-        # route the whole complex inverse FFT of the resource coefficients; the
-        # rows at beta = 0 and pi are flat profiles that must read phi = 0
+        # the map reads half of the profile of the rotation block, by the FFT
+        # or the table route, the point route the whole complex inverse FFT of
+        # the resource coefficients; the rows at beta = 0 and pi are flat
+        # profiles that must read phi = 0
+        assert phase._takes_table(total + 1, grid_size) == ((total, grid_size) in TABLE_SHAPES)
         beta_axis = np.concatenate([[0.0], np.pi * np.arange(1, 8) / 8.0, [np.pi]])
         m_axis = np.arange(-total, total + 1, 2) / 2.0
         grid = phase_argmax_map(total, beta_axis, m_axis, grid_size=grid_size)
@@ -223,6 +237,40 @@ class TestArgmaxMap:
                 res = resource_coeffs(ResourceParams(n_in, total - n_in, float(beta)))
                 assert grid.values[i, k] == phase_argmax(res, grid_size=grid_size)[0], (m, beta)
         assert np.all(grid.values[:, [0, -1]] == 0.0)
+
+    @pytest.mark.parametrize("total, grid_size", [(0, 256), (3, 258), (40, 1024), (100, 4096), (126, 4096)])
+    def test_table_half_profile_matches_the_fft(self, total, grid_size):
+        # the table route's cosine polynomial against today's length-K real FFT
+        assert phase._takes_table(total + 1, grid_size)
+        betas = np.concatenate([[0.0, 1e-9], np.linspace(0.05, np.pi - 0.05, 9), [np.pi]])
+        factor = numerics._factor(total)
+        table = phase._cosine_table(total + 1, grid_size)
+        for col in sorted({0, total // 3, total // 2, total}):
+            column = numerics._rotated_column(factor, col, betas)
+            fft = phase._half_profile(column, grid_size)
+            rows = phase._table_half_profile(column, table, grid_size)
+            assert rows.shape == fft.shape == (len(betas), grid_size // 2 + 1)
+            assert np.all(np.abs(rows - fft) <= 1e-13 * fft.max(axis=-1, keepdims=True)), (col, total)
+
+    @pytest.mark.parametrize("total, grid_size", [(100, 4096), (126, 4096), (127, 4096), (100, 4095), (100, 16)])
+    def test_size_check_counts_what_the_map_counts(self, total, grid_size, monkeypatch):
+        # both take one route, so a size check passes exactly the needs the map would pass
+        needs = []
+        monkeypatch.setattr(phase, "_check_budget", lambda need, what: needs.append(need))
+        monkeypatch.setattr(protocol, "_check_budget", lambda need, what: needs.append(need))
+        check_phase_map_size(total, 7, 3, grid_size=grid_size)
+        checked = list(needs)
+        needs.clear()
+        phase_argmax_map(total, np.linspace(0.3, 2.0, 7), np.arange(3) + total % 2 / 2, grid_size=grid_size)
+        assert needs == checked
+
+    def test_totals_are_checked_before_the_route_rule(self):
+        # the rule would read a negative or fractional total as a short column
+        for total in (-1, -0.5, 0.5, 4.0, math.nan):
+            for call in (lambda: phase_argmax_map(total, [0.5], [0.0], grid_size=4096),
+                         lambda: check_phase_map_size(total, 1, 1, grid_size=4096)):
+                with pytest.raises(ValueError, match="total"):
+                    call()
 
     def test_memory_budget_refused_before_allocation(self):
         with pytest.raises(ValueError, match="MiB limit"):
@@ -245,3 +293,38 @@ class TestArgmaxMap:
         assert protocol._beta_chunk(10, len(beta_axis), 2, phase._half_profile_bytes(11, 64)) == 1
         chunked = phase_argmax_map(10, beta_axis, [0.0, 2.0], grid_size=64)
         assert np.array_equal(whole.values, chunked.values)
+
+
+class TestMirror:
+    """Readings at beta and pi - beta agree, at any total.
+
+    In the real frame the rotation column c(beta) of input col is the
+    eigenvector of T(beta) = cos(beta) (n - j) + sin(beta) G for the exact
+    eigenvalue col - j (see numerics._column).  The reversal R: n -> 2j - n
+    negates n - j and leaves G, whose couplings sqrt((n + 1)(2j - n)) are
+    symmetric about j, unchanged; so R T(beta) R = T(pi - beta), and
+    c(pi - beta) = +-R c(beta).  The profile of a real column is
+    P(phi) = |sum_n c_n e^{i n phi}|^2 = P(-phi), so reversing the column
+    gives P_{pi - beta}(phi) = |e^{2ij phi} sum_n c_n e^{-i n phi}|^2
+    = P_beta(-phi) = P_beta(phi).  This is the reflection
+    d^j_{m'm}(pi - beta) = (-1)^{j+m'} d^j_{m',-m}(beta) (Varshalovich et
+    al., Quantum Theory of Angular Momentum, 4.4) composed with
+    d^j_{m'm} = (-1)^{m-m'} d^j_{-m',-m}.  On the CLI axis
+    beta_k = pi k / (N + 1), pi - beta_k is beta_{N+1-k} to an ulp, so the
+    map's cells at beta_k and beta_{N+1-k} match.
+    """
+
+    @pytest.mark.parametrize("n_in, m_in, beta", [(7, 3, 0.4), (50, 50, 1.1), (60, 41, 2.0), (0, 5, 0.7)])
+    def test_profile(self, n_in, m_in, beta):
+        for size in (64, 4096):
+            here = phase_profile(ResourceParams(n_in, m_in, beta), size).values
+            there = phase_profile(ResourceParams(n_in, m_in, math.pi - beta), size).values
+            assert np.max(np.abs(here - there)) <= 1e-13 * here.max()
+
+    @pytest.mark.parametrize("total", [40, 100, 101])
+    @pytest.mark.parametrize("grid_size", [4096, 4095])
+    def test_map_cells(self, total, grid_size):
+        assert phase._takes_table(total + 1, grid_size) == (grid_size == 4096)
+        m_axis = np.arange(total // 2 + 1) + total % 2 / 2
+        values = phase_argmax_map(total, CLI_BETAS, m_axis, grid_size=grid_size).values
+        assert np.array_equal(values, values[:, ::-1])
