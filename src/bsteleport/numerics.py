@@ -140,11 +140,6 @@ def _trig(factor: tuple[np.ndarray, np.ndarray], beta) -> tuple[np.ndarray, np.n
     return beta, np.cos(angles), np.sin(angles)
 
 
-def _rotated_column(factor: tuple[np.ndarray, np.ndarray], col: int, beta) -> np.ndarray:
-    """Real column `col` of D(beta), shape beta.shape + (dim,), from the generator's factorization."""
-    return _rotate(factor, col, _trig(factor, beta))
-
-
 def _rotate(factor: tuple[np.ndarray, np.ndarray], col: int, trig) -> np.ndarray:
     """Real column `col` of D(beta) from the factorization and _trig(factor, beta).
 

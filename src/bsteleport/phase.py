@@ -107,10 +107,9 @@ def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
 
 
 def _half_profile_bytes(dim: int, grid_size: int) -> tuple[int, int]:
-    """Bytes _half_profile and _peak hold per real column and once per block; refuses K below MIN_PHASE_GRID."""
+    """Bytes _half_profile and _peak hold per real column and once per block."""
     # folding a column longer than K holds at most dim + 2K doubles; then each frequency
     # k <= K/2 holds its spectrum and its squared modulus with two temporaries, 40 bytes
-    _check_grid_size(grid_size)
     return 8 * dim + 40 * (grid_size // 2 + 1), _fft_bytes(grid_size)
 
 
@@ -158,8 +157,8 @@ def _cosine_table(dim: int, grid_size: int) -> np.ndarray:
     return table
 
 
-def _table_half_profile(column: np.ndarray, table: np.ndarray, grid_size: int) -> np.ndarray:
-    """_half_profile of real rotation columns of D levels, from _cosine_table(D, K) at even K.
+def _table_half_profile(column: np.ndarray, table: np.ndarray, grid_size: int, n: int) -> np.ndarray:
+    """_half_profile of real rotation columns of D levels, from _cosine_table(D, K) at even K and n = _lag_length(D).
 
     The profile is the cosine polynomial sum_l w_l r_l cos(2 pi l k / K) in
     the column's autocorrelation r.  Since cos(2 pi l (K/2 - k) / K) =
@@ -167,7 +166,6 @@ def _table_half_profile(column: np.ndarray, table: np.ndarray, grid_size: int) -
     give P(k) = even + odd and P(K/2 - k) = even - odd.
     """
     dim = column.shape[-1]
-    n = _lag_length(dim)
     z = np.fft.rfft(column, n=n, axis=-1)
     r = np.fft.irfft(z.real**2 + z.imag**2, n=n, axis=-1)
     n_even = (dim + 1) // 2
@@ -183,22 +181,23 @@ def _table_half_profile(column: np.ndarray, table: np.ndarray, grid_size: int) -
 def _map_route(total: int, grid_size: int):
     """The map's half profile of real rotation columns at total, and the bytes it holds per column and once per chunk.
 
-    The total and K are checked before the rule reads them.  The table route
-    is taken when _takes_table allows it; its table is built at the first
-    call, so a map refused before any row is rotated builds none.
+    The route is settled here once per map: the total and K are checked
+    before the rule reads them, and the table route, taken when _takes_table
+    allows it, gets its lag length from here.  Its table is built at the
+    first call, so a map refused before any row is rotated builds none.
     """
     _check_integer("total", total)
+    _check_grid_size(grid_size)
     dim = total + 1
-    fft_bytes = _half_profile_bytes(dim, grid_size)  # checks K
     if not _takes_table(dim, grid_size):
-        return lambda column: _half_profile(column, grid_size), fft_bytes
+        return lambda column: _half_profile(column, grid_size), _half_profile_bytes(dim, grid_size)
     table = functools.cache(functools.partial(_cosine_table, dim, grid_size))
     # per column: the spectrum, its squared modulus and the autocorrelation with the inverse
     # transform's working copy, 32 bytes per lag point, and the even and odd lags; then
     # the even and odd sums and their difference, the half profile and _peak's mask.
     # Per chunk: the table, and the plan and scratch of the lag transforms
     n, q1, h1 = _lag_length(dim), grid_size // 4 + 1, grid_size // 2 + 1
-    return (lambda column: _table_half_profile(column, table(), grid_size),
+    return (lambda column: _table_half_profile(column, table(), grid_size, n),
             (32 * n + 8 * dim + 24 * q1 + 9 * h1, _table_bytes(dim, grid_size) + _fft_bytes(n)))
 
 
@@ -236,7 +235,7 @@ def phase_argmax_map(total: int, beta_axis, m_axis, grid_size: int = DEFAULT_PHA
     in the fidelity sweep.
     """
     half_profile, reduce_bytes = _map_route(total, grid_size)
-    return _grid(total, beta_axis, m_axis, lambda column, n_in: _peak(half_profile(column), grid_size)[0],
+    return _grid(total, beta_axis, m_axis, lambda column: _peak(half_profile(column), grid_size)[0],
                  reduce_bytes, "phase-argmax")
 
 

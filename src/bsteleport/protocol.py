@@ -153,21 +153,22 @@ def _band(w: np.ndarray, shift: int, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(window, cols)[::-1])
 
 
-def _sweep_outcomes(w: np.ndarray, column: np.ndarray, n_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p, p f) of _outcomes for the resource states._resource(column, n_in) and weights w, in real arithmetic.
+def _sweep_outcomes(w: np.ndarray, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p f) of _outcomes for weights w and any resource states._resource(column, n_in), in real arithmetic.
 
-    The resource is i^(n_in - n) times the real column: its levels of n_in's
-    parity are real, the others imaginary, each times the sign of that power.
-    Each of |d|^2 and the two signed parts is multiplied by the Toeplitz
-    matrix T[n, q] = w[q - n] in tiles of at most _BAND_BLOCK levels n by
-    _BAND_BLOCK outcomes q, taking only the tiles of the band.
+    Each parity part of i^(n_in - n) column, the even or odd levels with
+    alternating signs, is its real or imaginary part up to one sign for the
+    whole part, which only negates the part's convolution; the two squares
+    are summed, so n_in is never needed.  Each of |d|^2 and the two parts is
+    multiplied by the Toeplitz matrix T[n, q] = w[q - n] in tiles of at most
+    _BAND_BLOCK levels n by _BAND_BLOCK outcomes q, taking only the tiles of
+    the band.
     """
     dim, length = column.shape[-1], len(w)
     n_q = dim + length - 1
     parts = [(column**2, 0, 1)]
-    for first in (n_in % 2, 1 - n_in % 2):
-        # level first + 2j carries i^(n_in - first - 2j), whose sign flips with j
-        x = column[..., first::2] * (1.0 - 2.0 * ((n_in - first) % 4 // 2))
+    for first in (0, 1):
+        x = column[..., first::2].copy()
         x[..., 1::2] *= -1.0
         parts.append((x, first, 2))
     out = np.empty((3,) + column.shape[:-1] + (n_q,))
@@ -186,11 +187,11 @@ def _sweep_outcomes(w: np.ndarray, column: np.ndarray, n_in: int) -> tuple[np.nd
                     block = o[..., q0:q1]
                     block += product
             del band, product  # freed before the next tile's are made
-    p, real, imag = out
-    real *= real
-    imag *= imag
-    real += imag
-    return p, real
+    p, even, odd = out
+    even *= even
+    odd *= odd
+    even += odd
+    return p, even
 
 
 def _sweep_bytes(dim: int, length: int) -> tuple[int, int]:
@@ -207,9 +208,8 @@ def _sweep_bytes(dim: int, length: int) -> tuple[int, int]:
     return 16 * dim + 33 * n_q + 16 * cols, 8 * (length + cols * rows + rows + cols) + buffers
 
 
-def _average(target: TargetCoeffs, d: np.ndarray) -> np.ndarray:
-    """Average fidelity for resource coefficients d, one value per leading index."""
-    p, pf = _outcomes(target, d)
+def _average(p: np.ndarray, pf: np.ndarray) -> np.ndarray:
+    """Average fidelity from (p, p f) over q, one value per leading index, without outcomes of p <= DEFINED_MIN."""
     return np.where(p > DEFINED_MIN, pf, 0.0).sum(axis=-1)
 
 
@@ -226,7 +226,7 @@ def outcome_distribution(target: TargetCoeffs, resource: ResourceCoeffs) -> Outc
 
 def average_fidelity(target: TargetCoeffs, resource: ResourceCoeffs) -> float:
     """Outcome-averaged teleportation fidelity."""
-    return float(_average(target, resource.coeffs))
+    return float(_average(*_outcomes(target, resource.coeffs)))
 
 
 def classical_baseline(target: TargetCoeffs, params: ResourceParams | None = None) -> float:
@@ -283,8 +283,9 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
 
     The beta axis is taken in chunks; each compatible m row is rotated as a
     real column block over a chunk, from one cosine and sine of the chunk's
-    angles, and reduce_row(column, n_in) turns the block into one value per
-    beta, holding reduce_bytes (see _beta_chunk).  Other rows warn and stay NaN.
+    angles, and reduce_row(column) turns the block alone, whatever the row's
+    input, into one value per beta, holding reduce_bytes (see _beta_chunk).
+    Other rows warn and stay NaN.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
@@ -308,7 +309,7 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
     for k in range(0, len(beta_axis), chunk):
         trig = _trig(factor, beta_axis[k:k + chunk])  # one cosine and sine for every row
         for i, n_in in rows:
-            values[i, k:k + chunk] = reduce_row(_rotate(factor, n_in, trig), n_in)
+            values[i, k:k + chunk] = reduce_row(_rotate(factor, n_in, trig))
     return FidelityGrid(beta_axis, m_axis, values, total, label)
 
 
@@ -319,12 +320,8 @@ def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> Fidel
     warning and filled with NaN.
     """
     w = _abs2(target.coeffs)
-
-    def reduce_row(column, n_in):
-        p, pf = _sweep_outcomes(w, column, n_in)
-        return np.where(p > DEFINED_MIN, pf, 0.0).sum(axis=-1)
-
-    return _grid(total, beta_axis, m_axis, reduce_row, _sweep_bytes(total + 1, len(w)), target.label)
+    return _grid(total, beta_axis, m_axis, lambda column: _average(*_sweep_outcomes(w, column)),
+                 _sweep_bytes(total + 1, len(w)), target.label)
 
 
 def check_sweep_size(target: TargetCoeffs, total: int, n_beta: int, n_m: int) -> None:

@@ -12,14 +12,19 @@ import functools
 
 import pytest
 
-from bsteleport.numerics import _column, _factor, _rotated_column
+from bsteleport.numerics import _column, _factor, _rotate, _trig
 
 factored = functools.lru_cache(maxsize=None)(_factor)
 
 
+def rotated_column(factor, col: int, beta):
+    """Real column `col` of d(beta), shape beta.shape + (dim,), by the grid kernel from a factorization."""
+    return _rotate(factor, col, _trig(factor, beta))
+
+
 def grid_column(total: int, col: int, beta: float):
     """Column by the grid kernel, from one cached factorization per total."""
-    return _rotated_column(factored(total), col, beta)
+    return rotated_column(factored(total), col, beta)
 
 
 ROUTES = {"grid": grid_column, "point": _column}

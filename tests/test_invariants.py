@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from bsteleport.numerics import _I_POW, _rotated_column
-from routes import factored, over_routes
+from bsteleport.numerics import _I_POW
+from routes import factored, over_routes, rotated_column
 
 LARGE_TOTALS = {str(t): (t,) for t in (1, 2, 7, 100, 501, 2000)}
 BETAS = (0.4, 2.3)
@@ -90,6 +90,6 @@ def test_discarded_imaginary_residue_is_small(total):
         for col in _picks(total):
             ucol = (v * np.exp(1j * beta * w)) @ v[col]
             twisted = _I_POW[(np.arange(total + 1) - col) % 4] * ucol
-            assert np.max(np.abs(twisted.real - _rotated_column((w, v), col, beta))) < 1e-13
+            assert np.max(np.abs(twisted.real - rotated_column((w, v), col, beta))) < 1e-13
             worst = max(worst, float(np.max(np.abs(twisted.imag))))
     assert worst < 1e-12

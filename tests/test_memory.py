@@ -22,6 +22,7 @@ from bsteleport import numerics, phase, protocol
 from bsteleport.phase import phase_argmax, phase_argmax_map
 from bsteleport.protocol import fidelity_sweep
 from bsteleport.states import ResourceParams, cat_coeffs, fock_coeffs, resource_coeffs, suggest_cutoff
+from routes import rotated_column
 
 FIG_BETAS = np.pi * np.arange(1, 102) / 102
 FIG_MS = np.arange(51.0)
@@ -131,13 +132,12 @@ def test_sweep_reduction_count_bounds_its_peak(case):
     # the sweep's band reduction alone against its own count, per column and per chunk
     total, n_beta, make_target = REDUCTIONS[case]
     w = protocol._abs2(make_target().coeffs)
-    column = numerics._rotated_column(numerics._factor(total), total // 2, np.linspace(0.1, 3.0, n_beta))
+    column = rotated_column(numerics._factor(total), total // 2, np.linspace(0.1, 3.0, n_beta))
     per_column, per_chunk = protocol._sweep_bytes(total + 1, len(w))
-    protocol._sweep_outcomes(w, column, total // 2)
+    protocol._sweep_outcomes(w, column)
     tracemalloc.start()
     try:
-        p, pf = protocol._sweep_outcomes(w, column, total // 2)
-        np.where(p > protocol.DEFINED_MIN, pf, 0.0).sum(axis=-1)
+        protocol._average(*protocol._sweep_outcomes(w, column))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,7 +14,6 @@ from bsteleport.numerics import (
     _cumlog_factorials,
     _factor,
     _log_factorials,
-    _rotated_column,
     wigner_d_column_stable,
 )
 from bsteleport.oracle import sector_unitary_column
@@ -22,7 +21,7 @@ from bsteleport.phase import phase_argmax
 from bsteleport.protocol import check_sweep_size
 from bsteleport.states import ResourceParams, fock_coeffs, resource_coeffs
 from reference import column_by_bisection, positive_pivots, wigner_d_direct
-from routes import grid_column, over_routes
+from routes import grid_column, over_routes, rotated_column
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 # angles where the point solve's splitting and sign are hardest: stebz splits T
@@ -384,11 +383,11 @@ class TestStableRoute:
         factor = _factor(61)
         betas = np.array([0.0, 0.4, math.pi / 2, 2.9, math.pi])
         for col in (0, 30, 61):
-            block = _rotated_column(factor, col, betas)
+            block = rotated_column(factor, col, betas)
             assert block.shape == (len(betas), 62)
             assert np.array_equal(block[0], np.eye(1, 62, col)[0])
             for k, beta in enumerate(betas):
-                assert np.max(np.abs(block[k] - _rotated_column(factor, col, beta))) < 1e-15
+                assert np.max(np.abs(block[k] - rotated_column(factor, col, beta))) < 1e-15
 
     def test_beta_out_of_range_raises(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bsteleport import oracle
-from bsteleport.numerics import _factor, _rotated_column
+from bsteleport.numerics import _factor
 from bsteleport.oracle import (
     MAX_BRUTE_CUTOFF,
     MAX_BRUTE_TOTAL,
@@ -25,6 +25,7 @@ from bsteleport.protocol import (
     output_state,
 )
 from bsteleport.states import ResourceParams, _resource, cat_coeffs, fock_coeffs, resource_coeffs
+from routes import rotated_column
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 
@@ -174,7 +175,7 @@ class TestGridRoute:
             factor = _factor(total)
             unitaries = [sector_unitary(total, beta) for beta in BETA_GRID]  # one exponential per sector
             for col in range(total + 1):
-                columns = _rotated_column(factor, col, np.array(BETA_GRID))
+                columns = rotated_column(factor, col, np.array(BETA_GRID))
                 for unitary, column in zip(unitaries, columns):
                     worst = max(worst, np.max(np.abs(_resource(column, col) - unitary[:, col])))
         assert worst < 1e-13

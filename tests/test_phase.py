@@ -14,8 +14,9 @@ from bsteleport.phase import (
     phase_argmax_map,
     phase_profile,
 )
-from bsteleport.states import ResourceCoeffs, ResourceParams, resource_coeffs
+from bsteleport.states import ResourceCoeffs, ResourceParams, _resource, resource_coeffs
 from reference import joint_phase_prob
+from routes import rotated_column
 
 
 # shapes (total, K) of test_half_spectrum_cells_match_point_readings that take the table route
@@ -246,11 +247,29 @@ class TestArgmaxMap:
         factor = numerics._factor(total)
         table = phase._cosine_table(total + 1, grid_size)
         for col in sorted({0, total // 3, total // 2, total}):
-            column = numerics._rotated_column(factor, col, betas)
+            column = rotated_column(factor, col, betas)
             fft = phase._half_profile(column, grid_size)
-            rows = phase._table_half_profile(column, table, grid_size)
+            rows = phase._table_half_profile(column, table, grid_size, phase._lag_length(total + 1))
             assert rows.shape == fft.shape == (len(betas), grid_size // 2 + 1)
             assert np.all(np.abs(rows - fft) <= 1e-13 * fft.max(axis=-1, keepdims=True)), (col, total)
+
+    @pytest.mark.parametrize("total", [1, 40, 101])
+    @pytest.mark.parametrize("grid_size", [4096, 4095])
+    def test_rows_of_both_parities_profile_in_one_stack(self, total, grid_size):
+        # the map's half profile of one stack of rows from inputs of both parities,
+        # on the table route (even K) and the FFT route (odd K), against each row's
+        # point profile of its complex resource
+        assert phase._takes_table(total + 1, grid_size) == (grid_size % 2 == 0)
+        half_profile = phase._map_route(total, grid_size)[0]
+        factor = numerics._factor(total)
+        betas = np.array([0.0, 0.3, math.pi / 2, 2.6, math.pi])
+        n_ins = (total // 2, total // 2 + 1)
+        stack = np.stack([rotated_column(factor, n_in, betas) for n_in in n_ins])
+        rows = half_profile(stack)
+        assert rows.shape == (2, len(betas), grid_size // 2 + 1)
+        for i, n_in in enumerate(n_ins):
+            want = phase._profile_values(_resource(stack[i], n_in), grid_size)[..., :grid_size // 2 + 1]
+            assert np.all(np.abs(rows[i] - want) <= 1e-13 * want.max(axis=-1, keepdims=True)), n_in
 
     @pytest.mark.parametrize("total, grid_size", [(100, 4096), (126, 4096), (127, 4096), (100, 4095), (100, 16)])
     def test_size_check_counts_what_the_map_counts(self, total, grid_size, monkeypatch):

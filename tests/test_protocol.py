@@ -20,7 +20,7 @@ from bsteleport.protocol import (
     output_state,
     split_total,
 )
-from bsteleport.numerics import _factor, _rotated_column
+from bsteleport.numerics import _factor
 from bsteleport.states import (
     ResourceParams,
     TargetCoeffs,
@@ -32,6 +32,7 @@ from bsteleport.states import (
 )
 from bsteleport.states import _resource
 from reference import fidelity_given_q_double_sum, number_sum_prob_literal
+from routes import rotated_column
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
 
@@ -429,10 +430,38 @@ class TestSweepReduction:
         w = protocol._abs2(target.coeffs)
         factor = _factor(total)
         for n_in in sorted({0, 1, total // 3, total // 2, total - 1, total} & set(range(total + 1))):
-            column = _rotated_column(factor, n_in, np.array(betas))
-            p, pf = protocol._sweep_outcomes(w, column, n_in)
+            column = rotated_column(factor, n_in, np.array(betas))
+            p, pf = protocol._sweep_outcomes(w, column)
             want_p, want_pf = protocol._outcomes(target, _resource(column, n_in))
             assert p.shape == want_p.shape == (len(betas), total + len(w))
             scale = want_p.max()
             assert np.max(np.abs(p - want_p)) <= 1e-15 * scale
             assert np.max(np.abs(pf - want_pf)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("total", [1, 40, 101])
+    def test_rows_of_both_parities_reduce_in_one_stack(self, total):
+        """One call on a stack of rows from inputs of both parities gives each row's own outcomes.
+
+        The resource is d_n = i^(n_in - n) c_n for the real column c.  At the
+        levels n = first + 2j of one parity, i^(n_in - first - 2j) =
+        i^(n_in - first) (-1)^j, so the part (-1)^j c_{first + 2j} is the real
+        part of d there when n_in - first is even and the imaginary part when
+        it is odd, times the one sign of i^(n_in - first) or its real multiple.
+        That sign only negates the part's convolution, and the sweep sums the
+        two squares, so no row's n_in enters the reduction.
+        """
+        target = cat_coeffs(3.0, suggest_cutoff(3.0))
+        w = protocol._abs2(target.coeffs)
+        factor = _factor(total)
+        betas = np.array([0.0, 0.3, math.pi / 2, 2.6, math.pi])
+        n_ins = (total // 2, total // 2 + 1)
+        stack = np.stack([rotated_column(factor, n_in, betas) for n_in in n_ins])
+        p, pf = protocol._sweep_outcomes(w, stack)
+        assert p.shape == pf.shape == (2, len(betas), total + len(w))
+        for i, n_in in enumerate(n_ins):
+            row_p, row_pf = protocol._sweep_outcomes(w, stack[i])
+            want_p, want_pf = protocol._outcomes(target, _resource(stack[i], n_in))
+            scale = want_p.max()
+            for got, row, want in ((p[i], row_p, want_p), (pf[i], row_pf, want_pf)):
+                assert np.max(np.abs(got - row)) <= 1e-15 * scale
+                assert np.max(np.abs(got - want)) <= 1e-15 * scale
