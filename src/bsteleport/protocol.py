@@ -22,7 +22,7 @@ from . import numerics
 from .numerics import _check_budget, _check_integer, _factor, _factor_bytes, _rotate, _rotation_bytes, _trig
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs
 
-# outcomes with probability at or below this are treated as unobservable
+# conditional quantities are undefined for outcomes of probability at or below this
 DEFINED_MIN = 1e-15
 # bytes of rotation and reduction work in one chunk of a row's beta samples; the
 # phase map ran ~1.7x slower on its FFT route and ~2x on its table route as one
@@ -153,64 +153,55 @@ def _band(w: np.ndarray, shift: int, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(window, cols)[::-1])
 
 
-def _sweep_outcomes(w: np.ndarray, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, p f) of _outcomes for weights w and any resource states._resource(column, n_in), in real arithmetic.
+def _sweep_outcomes(w: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """p f of _outcomes for weights w and any resource states._resource(column, n_in), in real arithmetic.
 
     Each parity part of i^(n_in - n) column, the even or odd levels with
     alternating signs, is its real or imaginary part up to one sign for the
     whole part, which only negates the part's convolution; the two squares
-    are summed, so n_in is never needed.  Each of |d|^2 and the two parts is
-    multiplied by the Toeplitz matrix T[n, q] = w[q - n] in tiles of at most
-    _BAND_BLOCK levels n by _BAND_BLOCK outcomes q, taking only the tiles of
-    the band.
+    are summed, so n_in is never needed.  Each part is multiplied by the
+    Toeplitz matrix T[n, q] = w[q - n] in tiles of at most _BAND_BLOCK levels
+    n by _BAND_BLOCK outcomes q, taking only the tiles of the band.
     """
     dim, length = column.shape[-1], len(w)
     n_q = dim + length - 1
-    parts = [(column**2, 0, 1)]
+    parts = []
     for first in (0, 1):
         x = column[..., first::2].copy()
         x[..., 1::2] *= -1.0
-        parts.append((x, first, 2))
-    out = np.empty((3,) + column.shape[:-1] + (n_q,))
+        parts.append((x, first))
+    out = np.empty((2,) + column.shape[:-1] + (n_q,))
     for q0 in range(0, n_q, _BAND_BLOCK):
         q1 = min(q0 + _BAND_BLOCK, n_q)
         n_lo = max(0, q0 - length + 1)
         for n0 in range(n_lo, min(dim, q1), _BAND_BLOCK):
             n1 = min(n0 + _BAND_BLOCK, dim, q1)
             band = _band(w, q0 - n0, n1 - n0, q1 - q0)
-            for o, (x, first, step) in zip(out, parts):
-                j0, j1 = -((first - n0) // step), -((first - n1) // step)  # entries j with level first + step j in n0..n1-1
-                product = x[..., j0:j1] @ band[first + step * j0 - n0::step]
+            for o, (x, first) in zip(out, parts):
+                j0, j1 = (n0 - first + 1) // 2, (n1 - first + 1) // 2  # entries j with level first + 2 j in n0..n1-1
+                product = x[..., j0:j1] @ band[first + 2 * j0 - n0::2]
                 if n0 == n_lo:
                     o[..., q0:q1] = product
                 else:
                     block = o[..., q0:q1]
                     block += product
             del band, product  # freed before the next tile's are made
-    p, even, odd = out
-    even *= even
-    odd *= odd
-    even += odd
-    return p, even
+    out *= out
+    out[0] += out[1]
+    return out[0]
 
 
 def _sweep_bytes(dim: int, length: int) -> tuple[int, int]:
     """Bytes the fidelity sweep's reduction holds per real column of dim levels, and once per chunk."""
-    # per column its three inputs, the three outputs and two tiles' products (one is freed
-    # only as the next is made), then the masked sum's mask and copy; per chunk the target's
-    # weights, one tile and its window and, where a block of outcomes takes more than one
-    # tile, the two buffers of np.getbufsize() doubles numpy takes to add a tile's product
-    # to the strided block
+    # per column its two inputs, the two outputs and two tiles' products (one is freed
+    # only as the next is made); per chunk the target's weights, one tile and its window
+    # and, where a block of outcomes takes more than one tile, the two buffers of
+    # np.getbufsize() doubles numpy takes to add a tile's product to the strided block
     n_q = dim + length - 1
     cols = min(_BAND_BLOCK, n_q)
     rows = min(_BAND_BLOCK, dim)
     buffers = 16 * np.getbufsize() if min(dim, cols + length - 1) > _BAND_BLOCK else 0
-    return 16 * dim + 33 * n_q + 16 * cols, 8 * (length + cols * rows + rows + cols) + buffers
-
-
-def _average(p: np.ndarray, pf: np.ndarray) -> np.ndarray:
-    """Average fidelity from (p, p f) over q, one value per leading index, without outcomes of p <= DEFINED_MIN."""
-    return np.where(p > DEFINED_MIN, pf, 0.0).sum(axis=-1)
+    return 8 * dim + 16 * n_q + 16 * cols, 8 * (length + cols * rows + rows + cols) + buffers
 
 
 def outcome_distribution(target: TargetCoeffs, resource: ResourceCoeffs) -> OutcomeDistribution:
@@ -225,8 +216,11 @@ def outcome_distribution(target: TargetCoeffs, resource: ResourceCoeffs) -> Outc
 
 
 def average_fidelity(target: TargetCoeffs, resource: ResourceCoeffs) -> float:
-    """Outcome-averaged teleportation fidelity."""
-    return float(_average(*_outcomes(target, resource.coeffs)))
+    """Outcome-averaged teleportation fidelity: p f summed over every outcome q.
+
+    p f is formed without dividing by p and by Cauchy-Schwarz p f <= p, so no outcome is dropped.
+    """
+    return float(_outcomes(target, resource.coeffs)[1].sum())
 
 
 def classical_baseline(target: TargetCoeffs, params: ResourceParams | None = None) -> float:
@@ -272,6 +266,9 @@ def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int]
     per_beta, per_chunk = reduce_bytes
     per_beta += _rotation_bytes(total)
     fixed = _factor_bytes(total) + 8 * n_beta * n_m + per_chunk
+    # per_chunk counts against _CHUNK_BYTES, as an operand every product reads (the phase map's
+    # cosine table) must stay in cache beside the chunk: fig-3 in 50-beta chunks sized without
+    # it ran ~2x slower than in 35 (2 cores, one BLAS thread)
     room = min(_CHUNK_BYTES - per_chunk, numerics.MAX_GRID_BYTES - fixed)  # the limit as set at call time
     chunk = max(1, min(n_beta, room // per_beta))
     _check_budget(fixed + chunk * per_beta, f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
@@ -316,11 +313,12 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
 def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> FidelityGrid:
     """Average fidelity over a (beta, m) grid at fixed total photon number.
 
-    Grid cells whose m is incompatible with the total are reported with a
-    warning and filled with NaN.
+    Each cell sums p f over every outcome, as average_fidelity does; cells
+    whose m is incompatible with the total are reported with a warning and
+    filled with NaN.
     """
     w = _abs2(target.coeffs)
-    return _grid(total, beta_axis, m_axis, lambda column: _average(*_sweep_outcomes(w, column)),
+    return _grid(total, beta_axis, m_axis, lambda column: _sweep_outcomes(w, column).sum(axis=-1),
                  _sweep_bytes(total + 1, len(w)), target.label)
 
 

@@ -137,7 +137,7 @@ def test_sweep_reduction_count_bounds_its_peak(case):
     protocol._sweep_outcomes(w, column)
     tracemalloc.start()
     try:
-        protocol._average(*protocol._sweep_outcomes(w, column))
+        protocol._sweep_outcomes(w, column).sum(axis=-1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -231,6 +231,18 @@ class TestDistributionAndAverage:
             )
             assert average_fidelity(target, resource) == pytest.approx(explicit, abs=1e-12)
 
+    @pytest.mark.parametrize("total", [100, 1000, 4000, 10**4])
+    def test_fock_targets_average_to_one(self, total):
+        # a Fock target has one weight, so every outcome has f = 1 and
+        # F = sum_q p[q] = sum_n |d_n|^2 = 1; an average that dropped the
+        # outcomes of p <= DEFINED_MIN fell short by up to 1.2e-14 at 10^4
+        targets = [fock_coeffs(0, 0), fock_coeffs(2, 2), fock_coeffs(0, 300), fock_coeffs(5, 40)]
+        for beta in (1e-6, 0.3, math.pi / 2, 2.9):
+            for n_in in {0, total // 3, total // 2, total}:
+                resource = resource_coeffs(ResourceParams(n_in, total - n_in, beta))
+                for target in targets:
+                    assert abs(average_fidelity(target, resource) - 1.0) <= 1e-15
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
            st.floats(0.0, math.pi), st.integers(0, 2**32 - 1))
@@ -388,10 +400,10 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too: 1235 bytes for the
-        # total-2 grid of one beta by one m, 1275 for three betas by two in
+        # the budget counts beta samples and m rows too: 1160 bytes for the
+        # total-2 grid of one beta by one m, 1200 for three betas by two in
         # chunks of one beta
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1250)
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1180)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
@@ -431,12 +443,10 @@ class TestSweepReduction:
         factor = _factor(total)
         for n_in in sorted({0, 1, total // 3, total // 2, total - 1, total} & set(range(total + 1))):
             column = rotated_column(factor, n_in, np.array(betas))
-            p, pf = protocol._sweep_outcomes(w, column)
+            pf = protocol._sweep_outcomes(w, column)
             want_p, want_pf = protocol._outcomes(target, _resource(column, n_in))
-            assert p.shape == want_p.shape == (len(betas), total + len(w))
-            scale = want_p.max()
-            assert np.max(np.abs(p - want_p)) <= 1e-15 * scale
-            assert np.max(np.abs(pf - want_pf)) <= 1e-15 * scale
+            assert pf.shape == want_pf.shape == (len(betas), total + len(w))
+            assert np.max(np.abs(pf - want_pf)) <= 1e-15 * want_p.max()
 
     @pytest.mark.parametrize("total", [1, 40, 101])
     def test_rows_of_both_parities_reduce_in_one_stack(self, total):
@@ -456,12 +466,49 @@ class TestSweepReduction:
         betas = np.array([0.0, 0.3, math.pi / 2, 2.6, math.pi])
         n_ins = (total // 2, total // 2 + 1)
         stack = np.stack([rotated_column(factor, n_in, betas) for n_in in n_ins])
-        p, pf = protocol._sweep_outcomes(w, stack)
-        assert p.shape == pf.shape == (2, len(betas), total + len(w))
+        pf = protocol._sweep_outcomes(w, stack)
+        assert pf.shape == (2, len(betas), total + len(w))
         for i, n_in in enumerate(n_ins):
-            row_p, row_pf = protocol._sweep_outcomes(w, stack[i])
             want_p, want_pf = protocol._outcomes(target, _resource(stack[i], n_in))
             scale = want_p.max()
-            for got, row, want in ((p[i], row_p, want_p), (pf[i], row_pf, want_pf)):
-                assert np.max(np.abs(got - row)) <= 1e-15 * scale
-                assert np.max(np.abs(got - want)) <= 1e-15 * scale
+            assert np.max(np.abs(pf[i] - protocol._sweep_outcomes(w, stack[i]))) <= 1e-15 * scale
+            assert np.max(np.abs(pf[i] - want_pf)) <= 1e-15 * scale
+
+
+class TestMirror:
+    """The average fidelity at beta and pi - beta agree, for any target and total.
+
+    For the real rotation column c and d_n = i^(n_in - n) c_n,
+    F = sum_q |sum_n w[q - n] d_n|^2 = sum_{n, n'} a(n - n') i^(n' - n) c_n c_n',
+    where a(k) = sum_q w[q] w[q + k] is the autocorrelation of the target
+    weights, even in k.  The terms at (n, n') and (n', n) are conjugate, so
+    F = c^T M c with M[n, n'] = a(n - n') cos(pi (n - n') / 2): a symmetric
+    Toeplitz matrix, which the reversal R: n -> 2j - n leaves unchanged.  Since
+    c(pi - beta) = +-R c(beta) (see test_phase.py's TestMirror), the form is
+    unchanged.  This holds exactly only for a sum over every outcome: p[q] at
+    pi - beta is a different sequence, so a mask on p would break it.
+    """
+
+    TARGETS = (cat_coeffs(3.0, suggest_cutoff(3.0)),
+               coherent_coeffs(1.5 + 0.7j, suggest_cutoff(1.5 + 0.7j, "coherent")),
+               fock_coeffs(2, 2))
+
+    @pytest.mark.parametrize("total", [100, 1000, 4000])
+    def test_points(self, total):
+        # measured at most 5.6e-16
+        for beta in (0.2, 1.0, 1.5):
+            for n_in in {0, total // 3, total // 2, total}:
+                here = resource_coeffs(ResourceParams(n_in, total - n_in, beta))
+                there = resource_coeffs(ResourceParams(n_in, total - n_in, math.pi - beta))
+                for target in self.TARGETS:
+                    assert abs(average_fidelity(target, here) - average_fidelity(target, there)) <= 5e-15
+
+    @pytest.mark.parametrize("total", [37, 100, 101])
+    def test_sweep_cells(self, total):
+        # on the CLI axis beta_k = pi k / 102, pi - beta_k is beta_{102 - k} to
+        # an ulp; measured at most 4.1e-15
+        betas = np.pi * np.arange(1, 102) / 102
+        m_axis = np.arange(total // 2 + 1) + total % 2 / 2
+        for target in self.TARGETS:
+            values = fidelity_sweep(target, total, betas, m_axis).values
+            assert np.max(np.abs(values - values[:, ::-1])) <= 2e-14

@@ -7,13 +7,13 @@ from pathlib import Path
 import pytest
 
 from bsteleport import numerics
-from bsteleport.cli import main
+from bsteleport.cli import OUT_DIR_ENV, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a number as the CLI prints it, nan included
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf)")
-# every example shown in full; the sweep's summary line is abridged
-CHECKED = ("fidelity", "distribution", "resource", "oracle-check")
+# every example shown in full
+CHECKED = ("fidelity", "distribution", "resource", "oracle-check", "sweep")
 
 
 def _examples() -> dict:
@@ -28,8 +28,11 @@ def _examples() -> dict:
 
 
 @pytest.mark.parametrize("command", CHECKED)
-def test_example_output_matches(command, capsys):
-    # the text must match exactly and every number to 1e-13
+def test_example_output_matches(command, capsys, tmp_path, monkeypatch):
+    # the text must match exactly and every number to 1e-13; files land in
+    # the current directory, as in the example
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
     argv, shown = _examples()[command]
     assert main(argv) == 0
     printed = capsys.readouterr().out.splitlines()
