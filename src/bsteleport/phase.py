@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _I_POW, _check_budget, _check_integer
+from .numerics import (_I_POW, _check_budget, _check_integer, _fft_bytes, _folded, _half_profile,
+                       _half_profile_bytes, _smooth_length)
 from .protocol import FidelityGrid, _beta_chunk, _grid
 from .states import ResourceCoeffs, ResourceParams, resource_coeffs
 
@@ -67,32 +68,6 @@ def _check_grid_size(grid_size: int) -> None:
     _check_integer("grid_size", grid_size, MIN_PHASE_GRID)
 
 
-def _folded(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """Coefficients (last axis n) folded onto n mod K: the kernel has period K in n."""
-    if coeffs.shape[-1] <= grid_size:
-        return coeffs
-    coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, -coeffs.shape[-1] % grid_size)])
-    return coeffs.reshape(coeffs.shape[:-1] + (-1, grid_size)).sum(axis=-2)
-
-
-def _smooth(n: int) -> bool:
-    """Whether n has no prime factor above 11, the radices of numpy's FFT."""
-    for p in (2, 3, 5, 7, 11):
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
-def _fft_bytes(grid_size: int) -> int:
-    """Bytes numpy's FFT allocates itself, outside its output, for one transform of K points.
-
-    Its plan and scratch take 32 bytes per point for a complex transform and 16
-    for a real one.  A K with a prime factor above 11 may instead take
-    Bluestein's transform of about 2K points, which held 128-144 per point.
-    """
-    return (32 if _smooth(grid_size) else 160) * grid_size
-
-
 def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """Profile at phi_k = 2 pi k / K for k = 0..K-1, one row per row of coefficients."""
     _check_grid_size(grid_size)
@@ -103,23 +78,6 @@ def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     twisted = _I_POW[np.arange(coeffs.shape[-1]) % 4] * coeffs  # entry n gains an exact i^n
     # k-th inverse-DFT entry is (1/K) sum_n e^{2pi i n k / K} c_n
     z = grid_size * np.fft.ifft(_folded(twisted, grid_size), n=grid_size, axis=-1)
-    return z.real**2 + z.imag**2
-
-
-def _half_profile_bytes(dim: int, grid_size: int) -> tuple[int, int]:
-    """Bytes _half_profile and _peak hold per real column and once per block."""
-    # folding a column longer than K holds at most dim + 2K doubles; then each frequency
-    # k <= K/2 holds its spectrum and its squared modulus with two temporaries, 40 bytes
-    return 8 * dim + 40 * (grid_size // 2 + 1), _fft_bytes(grid_size)
-
-
-def _half_profile(column: np.ndarray, grid_size: int) -> np.ndarray:
-    """Profile at phi_k for k = 0..K//2 from real rotation columns, one row per column.
-
-    The twist leaves a real column times a global phase, and the forward
-    real DFT is the conjugate of the inverse one, so the squared moduli match.
-    """
-    z = np.fft.rfft(_folded(column, grid_size), n=grid_size, axis=-1)
     return z.real**2 + z.imag**2
 
 
@@ -134,18 +92,6 @@ def _table_bytes(dim: int, grid_size: int) -> int:
     return 8 * dim * (grid_size // 4 + 1)
 
 
-def _lag_length(dim: int) -> int:
-    """Length of the transforms that give the autocorrelation of D levels: the first smooth one from 2D - 1.
-
-    A shorter one would wrap lags onto each other; 2D itself can be slow (5x at
-    D = 101, where 202 = 2 * 101).
-    """
-    n = 2 * dim - 1
-    while not _smooth(n):
-        n += 1
-    return n
-
-
 def _cosine_table(dim: int, grid_size: int) -> np.ndarray:
     """Rows w_l cos(2 pi (l k mod K) / K) over k = 0..K//4, even l first, then odd l; w_0 = 1, else 2."""
     cos = np.cos(2.0 * np.pi / grid_size * np.arange(grid_size))
@@ -158,12 +104,14 @@ def _cosine_table(dim: int, grid_size: int) -> np.ndarray:
 
 
 def _table_half_profile(column: np.ndarray, table: np.ndarray, grid_size: int, n: int) -> np.ndarray:
-    """_half_profile of real rotation columns of D levels, from _cosine_table(D, K) at even K and n = _lag_length(D).
+    """_half_profile of real rotation columns of D levels, from _cosine_table(D, K) at even K.
 
     The profile is the cosine polynomial sum_l w_l r_l cos(2 pi l k / K) in
-    the column's autocorrelation r.  Since cos(2 pi l (K/2 - k) / K) =
-    (-1)^l cos(2 pi l k / K), the even-l and odd-l sums over k = 0..K//4
-    give P(k) = even + odd and P(K/2 - k) = even - odd.
+    the column's autocorrelation r, taken by transforms of a length n of at
+    least 2D - 1, so that no lag wraps onto another.  Since
+    cos(2 pi l (K/2 - k) / K) = (-1)^l cos(2 pi l k / K), the even-l and
+    odd-l sums over k = 0..K//4 give P(k) = even + odd and P(K/2 - k) =
+    even - odd.
     """
     dim = column.shape[-1]
     z = np.fft.rfft(column, n=n, axis=-1)
@@ -196,7 +144,7 @@ def _map_route(total: int, grid_size: int):
     # transform's working copy, 32 bytes per lag point, and the even and odd lags; then
     # the even and odd sums and their difference, the half profile and _peak's mask.
     # Per chunk: the table, and the plan and scratch of the lag transforms
-    n, q1, h1 = _lag_length(dim), grid_size // 4 + 1, grid_size // 2 + 1
+    n, q1, h1 = _smooth_length(2 * dim - 1), grid_size // 4 + 1, grid_size // 2 + 1
     return (lambda column: _table_half_profile(column, table(), grid_size, n),
             (32 * n + 8 * dim + 24 * q1 + 9 * h1, _table_bytes(dim, grid_size) + _fft_bytes(n)))
 

@@ -11,15 +11,16 @@ coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics
-from .numerics import _check_budget, _check_integer, _factor, _factor_bytes, _rotate, _rotation_bytes, _trig
+from .numerics import (_check_budget, _check_integer, _factor, _factor_bytes, _half_profile, _half_profile_bytes,
+                       _rotate, _rotation_bytes, _smooth_length, _trig)
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs
 
 # conditional quantities are undefined for outcomes of probability at or below this
@@ -29,9 +30,6 @@ DEFINED_MIN = 1e-15
 # 101-beta chunk than in chunks this size (30 and 35 betas at total 100, K = 4096;
 # 2 cores, one BLAS thread)
 _CHUNK_BYTES = 21 << 17  # 2.625 MiB
-# output levels q per band product of the fidelity sweep's reduction; blocks of
-# 64 to 256 ran alike at totals 100 to 4000 (2 cores, one BLAS thread)
-_BAND_BLOCK = 128
 
 
 class UndefinedOutcomeError(ValueError):
@@ -128,87 +126,79 @@ def output_state(
     return OutputState(q, n_hi + 1, np.outer(amp, np.conj(amp)) / p)
 
 
-def _outcomes(target: TargetCoeffs, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, p f) over q for coefficients d with n last: target weights convolved with |d|^2, Re d, Im d.
+def _convolved(target: TargetCoeffs, *parts: np.ndarray) -> np.ndarray:
+    """Each part (real, n last) convolved with the target weights, stacked along a new first axis.
 
-    The sequences are laid end to end, each followed by cutoff zeros, so one
+    The parts are laid end to end, each followed by cutoff zeros, so one
     np.convolve serves them all without one reaching into the next.  Points
-    take this route: for one column it ran 2-4x faster than the sweep's band
-    products (_sweep_outcomes), which pay off only over a block of columns.
+    take this route; it shares no algebra with the sweep's spectral
+    reduction (_spectral_weights), which tests check against it.
     """
     w = _abs2(target.coeffs)
-    x = np.zeros((3,) + d.shape[:-1] + (len(w) + d.shape[-1] - 1,))
-    x[..., : d.shape[-1]] = _abs2(d), d.real, d.imag
-    out = np.convolve(w, x.ravel())[: x.size].reshape(x.shape)
-    return out[0], out[1] ** 2 + out[2] ** 2
+    x = np.zeros((len(parts),) + parts[0].shape[:-1] + (len(w) + parts[0].shape[-1] - 1,))
+    x[..., : parts[0].shape[-1]] = parts
+    return np.convolve(w, x.ravel())[: x.size].reshape(x.shape)
 
 
-def _band(w: np.ndarray, shift: int, rows: int, cols: int) -> np.ndarray:
-    """Block B[r, c] = w[shift + c - r] of the Toeplitz matrix of w, zero where the index leaves w."""
-    lo = shift - rows + 1
-    window = np.zeros(rows + cols - 1)  # window[i] = w[lo + i]
-    weights = w[max(0, lo):max(0, lo + len(window))]
-    window[max(0, -lo):max(0, -lo) + len(weights)] = weights
-    # row r is the window of cols entries from rows - 1 - r
-    return np.ascontiguousarray(sliding_window_view(window, cols)[::-1])
+def _outcomes(target: TargetCoeffs, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p f) over q for coefficients d with n last: target weights convolved with |d|^2, Re d, Im d."""
+    p, re, im = _convolved(target, _abs2(d), d.real, d.imag)
+    return p, re**2 + im**2
 
 
-def _sweep_outcomes(w: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """p f of _outcomes for weights w and any resource states._resource(column, n_in), in real arithmetic.
+def _spectral_weights(w: np.ndarray, dim: int) -> tuple[int, np.ndarray]:
+    """(n, h) such that _half_profile(column, n) @ h is the average fidelity of any resource of the real column.
 
-    Each parity part of i^(n_in - n) column, the even or odd levels with
-    alternating signs, is its real or imaginary part up to one sign for the
-    whole part, which only negates the part's convolution; the two squares
-    are summed, so n_in is never needed.  Each part is multiplied by the
-    Toeplitz matrix T[n, q] = w[q - n] in tiles of at most _BAND_BLOCK levels
-    n by _BAND_BLOCK outcomes q, taking only the tiles of the band.
+    F = c^T M c for the real column c of dim levels, with M[n, n'] =
+    a(n - n') cos(pi (n - n') / 2) and a the autocorrelation of the target
+    weights w (see TestMirror in tests/test_protocol.py).  M(k) is 0 past
+    k_max = min(dim, len(w)) - 1, so M's lags laid out circularly on any
+    length n >= dim + k_max give back c^T M c, and by Parseval
+    F = (1/n) sum_k |C_k|^2 Mhat_k over the DFTs of length n.  h is Mhat / n
+    on rfft's bins, doubled where a bin also stands for its mirror.
     """
-    dim, length = column.shape[-1], len(w)
-    n_q = dim + length - 1
-    parts = []
-    for first in (0, 1):
-        x = column[..., first::2].copy()
-        x[..., 1::2] *= -1.0
-        parts.append((x, first))
-    out = np.empty((2,) + column.shape[:-1] + (n_q,))
-    for q0 in range(0, n_q, _BAND_BLOCK):
-        q1 = min(q0 + _BAND_BLOCK, n_q)
-        n_lo = max(0, q0 - length + 1)
-        for n0 in range(n_lo, min(dim, q1), _BAND_BLOCK):
-            n1 = min(n0 + _BAND_BLOCK, dim, q1)
-            band = _band(w, q0 - n0, n1 - n0, q1 - q0)
-            for o, (x, first) in zip(out, parts):
-                j0, j1 = (n0 - first + 1) // 2, (n1 - first + 1) // 2  # entries j with level first + 2 j in n0..n1-1
-                product = x[..., j0:j1] @ band[first + 2 * j0 - n0::2]
-                if n0 == n_lo:
-                    o[..., q0:q1] = product
-                else:
-                    block = o[..., q0:q1]
-                    block += product
-            del band, product  # freed before the next tile's are made
-    out *= out
-    out[0] += out[1]
-    return out[0]
+    k_max = min(dim, len(w)) - 1
+    n = _spectral_length(dim, len(w))
+    # a(k) for k = 0..k_max only, in O(len(w) k_max): a cutoff may be in the millions
+    lags = np.correlate(np.concatenate([w, np.zeros(k_max)]), w, "valid")
+    lags[1::2] = 0.0
+    lags[2::4] *= -1.0
+    m = np.zeros(n)
+    m[:k_max + 1] = lags
+    m[n - k_max:] = lags[:0:-1]
+    h = np.fft.rfft(m).real / n
+    h[1:(n + 1) // 2] *= 2.0  # an even n's Nyquist bin counts once
+    return n, h
 
 
-def _sweep_bytes(dim: int, length: int) -> tuple[int, int]:
-    """Bytes the fidelity sweep's reduction holds per real column of dim levels, and once per chunk."""
-    # per column its two inputs, the two outputs and two tiles' products (one is freed
-    # only as the next is made); per chunk the target's weights, one tile and its window
-    # and, where a block of outcomes takes more than one tile, the two buffers of
-    # np.getbufsize() doubles numpy takes to add a tile's product to the strided block
-    n_q = dim + length - 1
-    cols = min(_BAND_BLOCK, n_q)
-    rows = min(_BAND_BLOCK, dim)
-    buffers = 16 * np.getbufsize() if min(dim, cols + length - 1) > _BAND_BLOCK else 0
-    return 8 * dim + 16 * n_q + 16 * cols, 8 * (length + cols * rows + rows + cols) + buffers
+def _spectral_length(dim: int, length: int) -> int:
+    """The transform length _spectral_weights takes for dim levels and length target weights."""
+    return _smooth_length(dim + min(dim, length) - 1)
+
+
+def _sweep_route(target: TargetCoeffs, total: int):
+    """The sweep's reduction of real rotation columns at total, and the bytes it holds per column and once per chunk.
+
+    The total and its factor's budget are checked before the transform length
+    is searched for, so a non-integer or a huge total is refused at once.  The
+    weights are built at the first call, so a sweep refused before any row is
+    rotated builds none.
+    """
+    _check_integer("total", total)
+    _check_budget(_factor_bytes(total), f"total {total} needs a factor of")
+    dim = total + 1
+    n = _spectral_length(dim, len(target.coeffs))
+    weights = functools.cache(lambda: _spectral_weights(_abs2(target.coeffs), dim)[1])
+    # beside the power spectrum: each column's value, and the weights once per chunk
+    per_column, per_chunk = _half_profile_bytes(dim, n)
+    return lambda column: _half_profile(column, n) @ weights(), (per_column + 8, per_chunk + 8 * (n // 2 + 1))
 
 
 def outcome_distribution(target: TargetCoeffs, resource: ResourceCoeffs) -> OutcomeDistribution:
     """Full outcome distribution with conditional fidelities.
 
     Support runs over q = 0 .. cutoff + total; both arrays come from one
-    banded product of the target weights with the resource coefficients.
+    convolution of the target weights with the resource coefficients.
     """
     p, pf = _outcomes(target, resource.coeffs)
     mask = p > DEFINED_MIN
@@ -218,9 +208,12 @@ def outcome_distribution(target: TargetCoeffs, resource: ResourceCoeffs) -> Outc
 def average_fidelity(target: TargetCoeffs, resource: ResourceCoeffs) -> float:
     """Outcome-averaged teleportation fidelity: p f summed over every outcome q.
 
-    p f is formed without dividing by p and by Cauchy-Schwarz p f <= p, so no outcome is dropped.
+    p f is formed without dividing by p and by Cauchy-Schwarz p f <= p, so no
+    outcome is dropped, and p itself is never formed.
     """
-    return float(_outcomes(target, resource.coeffs)[1].sum())
+    d = resource.coeffs
+    re, im = _convolved(target, d.real, d.imag)
+    return float((re**2 + im**2).sum())
 
 
 def classical_baseline(target: TargetCoeffs, params: ResourceParams | None = None) -> float:
@@ -313,15 +306,14 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
 def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> FidelityGrid:
     """Average fidelity over a (beta, m) grid at fixed total photon number.
 
-    Each cell sums p f over every outcome, as average_fidelity does; cells
-    whose m is incompatible with the total are reported with a warning and
-    filled with NaN.
+    Each cell sums p f over every outcome, as average_fidelity does, but
+    reads it as the rotation column's power spectrum weighted by a kernel of
+    the target alone (_spectral_weights); cells whose m is incompatible with
+    the total are reported with a warning and filled with NaN.
     """
-    w = _abs2(target.coeffs)
-    return _grid(total, beta_axis, m_axis, lambda column: _sweep_outcomes(w, column).sum(axis=-1),
-                 _sweep_bytes(total + 1, len(w)), target.label)
+    return _grid(total, beta_axis, m_axis, *_sweep_route(target, total), target.label)
 
 
 def check_sweep_size(target: TargetCoeffs, total: int, n_beta: int, n_m: int) -> None:
     """Raise ValueError if fidelity_sweep over axes of these lengths would exceed MAX_GRID_BYTES."""
-    _beta_chunk(total, n_beta, n_m, _sweep_bytes(total + 1, len(target.coeffs)))
+    _beta_chunk(total, n_beta, n_m, _sweep_route(target, total)[1])

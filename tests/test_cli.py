@@ -126,6 +126,7 @@ REFUSALS = [
     (["sweep", "--target", "fock", "--total", "3", "--beta-steps", "3", "--m-range", "1e308:1e308",
       "--csv", "blocker/s.csv"], 3, 1),
     (["resource", "--n-in", "1", "--m-in", "0", "--beta", "-1e-3"], 1, 0),
+    (["sweep", "--target", "fock", "--total", "1000000000000000000"], 1, 0),
 ]
 
 

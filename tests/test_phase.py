@@ -248,8 +248,8 @@ class TestArgmaxMap:
         table = phase._cosine_table(total + 1, grid_size)
         for col in sorted({0, total // 3, total // 2, total}):
             column = rotated_column(factor, col, betas)
-            fft = phase._half_profile(column, grid_size)
-            rows = phase._table_half_profile(column, table, grid_size, phase._lag_length(total + 1))
+            fft = numerics._half_profile(column, grid_size)
+            rows = phase._table_half_profile(column, table, grid_size, numerics._smooth_length(2 * total + 1))
             assert rows.shape == fft.shape == (len(betas), grid_size // 2 + 1)
             assert np.all(np.abs(rows - fft) <= 1e-13 * fft.max(axis=-1, keepdims=True)), (col, total)
 

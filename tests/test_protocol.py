@@ -1,6 +1,8 @@
 """Checks for the measurement statistics and teleportation fidelity routes."""
 
 import math
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -361,6 +363,17 @@ class TestFidelitySweep:
         assert np.array_equal(fidelity_sweep(target, np.int64(4), [0.5], [0.0]).values,
                               fidelity_sweep(target, 4, [0.5], [0.0]).values)
 
+    def test_huge_total_refused_at_once(self):
+        # the factor's budget refuses the total before the transform length is
+        # searched for: near 10^18 lengths with no prime factor above 11 are sparse
+        target = cat_coeffs(3.0, suggest_cutoff(3.0))
+        for refuse in (partial(protocol.check_sweep_size, target, 10**18, 101, 51),
+                       partial(fidelity_sweep, target, 10**18, [0.5], [0.0])):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="above the 1024 MiB limit"):
+                refuse()
+            assert time.perf_counter() - start < 1.0
+
     def test_row_calls_agree_bitwise(self):
         target = cat_coeffs(1.0, 6, tail_tol=1e-4)
         beta_axis = np.pi * np.arange(1, 6) / 6.0
@@ -400,10 +413,10 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too: 1160 bytes for the
-        # total-2 grid of one beta by one m, 1200 for three betas by two in
+        # the budget counts beta samples and m rows too: 1136 bytes for the
+        # total-2 grid of one beta by one m, 1176 for three betas by two in
         # chunks of one beta
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1180)
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1160)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
@@ -416,14 +429,15 @@ class TestFidelitySweep:
         target = cat_coeffs(1.0, 6, tail_tol=1e-4)
         beta_axis = np.pi * np.arange(1, 8) / 8.0
         whole = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
-        per_beta, per_chunk = reduce_bytes = protocol._sweep_bytes(9, len(target.coeffs))
+        per_beta, per_chunk = reduce_bytes = protocol._sweep_route(target, 8)[1]
         monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * (numerics._rotation_bytes(8) + per_beta) + per_chunk)
         assert protocol._beta_chunk(8, len(beta_axis), 2, reduce_bytes) == 3
         chunked = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
         assert np.max(np.abs(whole.values - chunked.values)) < 1e-14
 
 
-# target, total and betas of the sweep's band reduction against the point route
+# target, total and betas of the sweep's spectral reduction against the point route;
+# at total 40 and 63 the transform length is dim + k_max itself, odd (77) and even (100)
 SWEEP_REDUCTIONS = {
     "total-0": (fock_coeffs(0, 3), 0, [0.5, 2.0]),
     "one-weight": (fock_coeffs(0, 0), 9, [0.3, math.pi / 2]),
@@ -431,48 +445,59 @@ SWEEP_REDUCTIONS = {
     "total-1000": (cat_coeffs(3.0, suggest_cutoff(3.0)), 1000, [0.2, 1.3, 2.9]),
     "coherent": (coherent_coeffs(2.0, 40), 30, [0.7, math.pi / 2, 2.2]),
     "delta-columns": (cat_coeffs(2.0, 25), 20, [0.0, math.pi]),
+    "odd-length-exact": (cat_coeffs(3.0, suggest_cutoff(3.0)), 40, [0.3, 1.6, 2.8]),
+    "even-length-exact": (cat_coeffs(3.0, suggest_cutoff(3.0)), 63, [0.3, 1.6, 2.8]),
 }
+
+
+def _spectral_cells(target: TargetCoeffs, column: np.ndarray) -> np.ndarray:
+    """The sweep's cells for real columns: their power spectrum weighted by the target's kernel."""
+    n, h = protocol._spectral_weights(protocol._abs2(target.coeffs), column.shape[-1])
+    return numerics._half_profile(column, n) @ h
 
 
 class TestSweepReduction:
     @pytest.mark.parametrize("target, total, betas", SWEEP_REDUCTIONS.values(), ids=SWEEP_REDUCTIONS)
     def test_band_products_match_the_convolution(self, target, total, betas):
-        # the sweep's real band products (protocol._sweep_outcomes) against the
-        # points' np.convolve of the complex resource, on the same columns
-        w = protocol._abs2(target.coeffs)
+        # the sweep's cells, the column's power spectrum weighted by the kernel of
+        # protocol._spectral_weights, against the sum of the points' np.convolve of
+        # the complex resource over every outcome, on the same columns; measured
+        # at most 4.4e-16
         factor = _factor(total)
         for n_in in sorted({0, 1, total // 3, total // 2, total - 1, total} & set(range(total + 1))):
             column = rotated_column(factor, n_in, np.array(betas))
-            pf = protocol._sweep_outcomes(w, column)
-            want_p, want_pf = protocol._outcomes(target, _resource(column, n_in))
-            assert pf.shape == want_pf.shape == (len(betas), total + len(w))
-            assert np.max(np.abs(pf - want_pf)) <= 1e-15 * want_p.max()
+            cells = _spectral_cells(target, column)
+            want = protocol._outcomes(target, _resource(column, n_in))[1].sum(-1)
+            assert cells.shape == want.shape == (len(betas),)
+            assert np.max(np.abs(cells - want)) <= 2e-15
+
+    def test_transform_length(self):
+        # the first length from dim + k_max, k_max = min(dim, len(w)) - 1, with no prime factor above 11
+        cat = protocol._abs2(cat_coeffs(3.0, suggest_cutoff(3.0)).coeffs)
+        assert len(cat) == 37
+        assert protocol._spectral_weights(cat, 41)[0] == 77
+        assert protocol._spectral_weights(cat, 64)[0] == 100
+        # 201 = 3 * 67 through 209 = 11 * 19 each have a prime factor above 11
+        assert protocol._spectral_weights(np.ones(4097), 101)[0] == 210
 
     @pytest.mark.parametrize("total", [1, 40, 101])
     def test_rows_of_both_parities_reduce_in_one_stack(self, total):
-        """One call on a stack of rows from inputs of both parities gives each row's own outcomes.
+        """One call on a stack of rows from inputs of both parities gives each row's own cells.
 
-        The resource is d_n = i^(n_in - n) c_n for the real column c.  At the
-        levels n = first + 2j of one parity, i^(n_in - first - 2j) =
-        i^(n_in - first) (-1)^j, so the part (-1)^j c_{first + 2j} is the real
-        part of d there when n_in - first is even and the imaginary part when
-        it is odd, times the one sign of i^(n_in - first) or its real multiple.
-        That sign only negates the part's convolution, and the sweep sums the
-        two squares, so no row's n_in enters the reduction.
+        The cell is c^T M c for the real column c alone (see TestMirror), so no
+        row's n_in enters the reduction.
         """
         target = cat_coeffs(3.0, suggest_cutoff(3.0))
-        w = protocol._abs2(target.coeffs)
         factor = _factor(total)
         betas = np.array([0.0, 0.3, math.pi / 2, 2.6, math.pi])
         n_ins = (total // 2, total // 2 + 1)
         stack = np.stack([rotated_column(factor, n_in, betas) for n_in in n_ins])
-        pf = protocol._sweep_outcomes(w, stack)
-        assert pf.shape == (2, len(betas), total + len(w))
+        cells = _spectral_cells(target, stack)
+        assert cells.shape == (2, len(betas))
         for i, n_in in enumerate(n_ins):
-            want_p, want_pf = protocol._outcomes(target, _resource(stack[i], n_in))
-            scale = want_p.max()
-            assert np.max(np.abs(pf[i] - protocol._sweep_outcomes(w, stack[i]))) <= 1e-15 * scale
-            assert np.max(np.abs(pf[i] - want_pf)) <= 1e-15 * scale
+            want = protocol._outcomes(target, _resource(stack[i], n_in))[1].sum(-1)
+            assert np.max(np.abs(cells[i] - _spectral_cells(target, stack[i]))) <= 2e-15
+            assert np.max(np.abs(cells[i] - want)) <= 2e-15
 
 
 class TestMirror:
