@@ -1,15 +1,14 @@
-"""Rotation-matrix columns D^j_{m',m}(beta) of the spin-j sector, by two routes.
+"""Rotation-matrix columns D^j_{m',m}(beta) of the spin-j sector, from one eigensolver.
 
-A grid factors the tridiagonal generator of its sector once, takes the
-cosine and sine of each block of angles once (_trig), and rotates every
-column it needs from those (_rotate); both grid products then read a
-column's power spectrum (_half_profile).
-A single point solves for its one column as the eigenvector of the
-rotated generator at its exact eigenvalue (_column), in O(j) time and
-memory: LAPACK stein runs inverse iteration at that eigenvalue, and stebz
-only splits the matrix and counts eigenvalues for the sign.  Both stay
-accurate at any j.  Half-integer indices are carried as doubled integers
-so parity checks are exact.
+Each column comes from eigenvectors of a real symmetric tridiagonal at exact
+eigenvalues (_eigenvector: LAPACK stein runs inverse iteration there, and
+stebz only splits the matrix and counts eigenvalues).  A single point solves
+for its one column, an eigenvector of the rotated generator (_column), in
+O(j) time and memory.  A grid solves once for the generator's eigenvectors
+of eigenvalue >= 0 (_factor), takes the cosine and sine of each block of
+angles once (_trig), and rotates every column it needs from those
+(_rotate); both grid products then read a column's power spectrum
+(_half_profile).  Half-integer indices are carried as doubled integers.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 # exact unit phases i^k for k = 0..3
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -109,29 +108,31 @@ def _check_budget(need: int, what: str) -> None:
 
 
 def _factor_bytes(two_j: int) -> int:
-    """Bytes _factor holds: stevd's eigenvectors and workspace, N^2 doubles each at N = two_j + 1."""
-    # the workspace is N^2 + 4N + 1 doubles; with d, e, their copies (the eigenvalues overwrite
-    # d's) and the integer workspace the peak is 16 N^2 + 84 N + 20 bytes, which 16 (N + 4)^2
-    # covers with 44 N + 236 bytes to spare for a further length-N array
-    return 16 * (two_j + 5) ** 2
+    """Bytes _factor holds: two_j // 2 + 1 eigenvectors of two_j + 1 doubles, and 32 more for the solves."""
+    return 8 * (two_j + 1) * (two_j // 2 + 33)
 
 
 def _rotation_bytes(two_j: int) -> int:
-    """Bytes _trig and _rotate hold per beta sample: 38.6 per level were seen at total 100."""
-    # per level the cosine and sine (with the angles while they are made), the product
-    # of one with the column's row, a half product and the output
-    return 40 * (two_j + 1)
+    """Bytes _trig and _rotate hold per beta sample: 24.0 to 24.7 per level were seen at totals 100 to 1001."""
+    # per level the cosine and sine of the N/2 modes (with the angles while they are made),
+    # the product of one with the column's row, a half product and the output
+    return 28 * (two_j + 1)
 
 
 def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, v) of the tridiagonal generator G of spin j.
+    """Exact eigenvalues w >= 0 of the tridiagonal generator G of spin j, and eigenvectors v, times sqrt(2) where w > 0.
 
-    G is the real symmetric matrix with zero diagonal and the
-    _offdiagonal couplings.  Every rotation of the sector reuses it.
-    A factor over MAX_GRID_BYTES is refused before anything is allocated.
+    G has zero diagonal, so the parity flip (-1)^n maps its eigenvector for w
+    onto the one for -w, which the sqrt(2) carries into _rotate.  Every rotation of
+    the sector reuses it.  A factor over MAX_GRID_BYTES is refused before anything is allocated.
     """
     _check_budget(_factor_bytes(two_j), f"total {two_j} needs a factor of")
-    return eigh_tridiagonal(np.zeros(two_j + 1), _offdiagonal(two_j))
+    d, e = np.zeros(two_j + 1), _offdiagonal(two_j)
+    w = np.arange((two_j + 1) // 2, two_j + 1) - two_j / 2
+    v = np.empty((two_j + 1, len(w)))
+    for k, lam in enumerate(w):  # scaled one by one: an in-place v *= row buffered up to 0.85 v
+        v[:, k] = _eigenvector(d, e, lam) * (math.sqrt(2.0) if lam > 0.0 else 1.0)
+    return w, v
 
 
 def _trig(factor: tuple[np.ndarray, np.ndarray], beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,12 +146,13 @@ def _rotate(factor: tuple[np.ndarray, np.ndarray], col: int, trig) -> np.ndarray
     """Real column `col` of D(beta) from the factorization and _trig(factor, beta).
 
     e^{i beta G} is cos(beta G), which keeps the row parity, plus i sin(beta G),
-    which flips it: after the exact i^{n-col} twist each half of the column is
-    one real product.  beta == 0 gives the exact delta.
+    which flips it; a mode pair +-w adds 2 cos(beta w) and 2i sin(beta w), so after
+    the exact i^{n-col} twist each half of the column is one real product over
+    _factor's modes (or over a full eigensystem).  beta == 0 gives the exact delta.
     """
-    w, v = factor
+    v = factor[1]
     beta, cos, sin = trig
-    dim = len(w)
+    dim = len(v)
     same = col % 2
     out = np.empty(beta.shape + (dim,))
     out[..., same::2] = (cos * v[col]) @ v[same::2].T
@@ -200,9 +202,9 @@ def _folded(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
 
 def _half_profile_bytes(dim: int, grid_size: int) -> tuple[int, int]:
     """Bytes _half_profile holds per real column and once per block."""
-    # folding a column longer than K holds at most dim + 2K doubles; then each frequency
-    # k <= K/2 holds its spectrum and its squared modulus with two temporaries, 40 bytes
-    return 8 * dim + 40 * (grid_size // 2 + 1), _fft_bytes(grid_size)
+    # folding a column longer than K holds at most dim + 2K doubles (a shorter one none); then
+    # each frequency k <= K/2 holds its spectrum and its squared modulus with two temporaries, 40 bytes
+    return 8 * dim * (dim > grid_size) + 40 * (grid_size // 2 + 1), _fft_bytes(grid_size)
 
 
 def _half_profile(column: np.ndarray, grid_size: int) -> np.ndarray:
@@ -247,8 +249,10 @@ def _eigenvector(d: np.ndarray, e: np.ndarray, lam: float) -> np.ndarray:
     neighbours and finds lam's block.  stein then runs inverse iteration on
     that block at the exact lam, not at stebz's estimate.  A LAPACK
     failure, or a window that does not hold exactly one eigenvalue, raises
-    np.linalg.LinAlgError.
+    np.linalg.LinAlgError.  A 1 x 1 matrix gives [1] (f2py refuses empty e).
     """
+    if len(d) == 1:
+        return np.ones(1)
     m, _, iblock, isplit = _lapack(_STEBZ, d, e, 1, lam - 0.5, lam + 0.5, 0, 0, 1.0, "B")
     if m != 1:
         raise np.linalg.LinAlgError(f"stebz found {m} eigenvalues near {lam}, not 1")
@@ -272,7 +276,7 @@ def _column(two_j: int, col: int, beta: float) -> np.ndarray:
     """
     dim = two_j + 1
     _check_budget(_POINT_BYTES * dim, f"total {two_j} needs a point solve of")
-    if beta == 0.0 or dim == 1:
+    if beta == 0.0:
         return np.eye(1, dim, col)[0]
     d = math.cos(beta) * (np.arange(dim) - 0.5 * two_j)
     e = math.sin(beta) * _offdiagonal(two_j)
@@ -286,8 +290,8 @@ def _column(two_j: int, col: int, beta: float) -> np.ndarray:
 def wigner_d_column_stable(j, m_col, beta: float) -> np.ndarray:
     """Full column D^j_{m',m}(beta), m' = -j..j, by the point route's one eigenvector solve.
 
-    Real arithmetic, O(j) time and memory, accurate at any j; grids factor
-    the generator once instead (_factor, _trig, _rotate).
+    Real arithmetic, O(j) time and memory, accurate at any j; grids solve
+    once for the generator's eigenvectors instead (_factor, _trig, _rotate).
     """
     beta = _check_beta(beta)
     two_j, two_m = _doubled(j, m_col=m_col)

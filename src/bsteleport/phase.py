@@ -127,7 +127,7 @@ def _table_half_profile(column: np.ndarray, table: np.ndarray, grid_size: int, n
 
 
 def _map_route(total: int, grid_size: int):
-    """The map's half profile of real rotation columns at total, and the bytes it holds per column and once per chunk.
+    """The map's half profile of real rotation columns at total, and its bytes as protocol._beta_chunk reads them.
 
     The route is settled here once per map: the total and K are checked
     before the rule reads them, and the table route, taken when _takes_table
@@ -138,7 +138,7 @@ def _map_route(total: int, grid_size: int):
     _check_grid_size(grid_size)
     dim = total + 1
     if not _takes_table(dim, grid_size):
-        return lambda column: _half_profile(column, grid_size), _half_profile_bytes(dim, grid_size)
+        return lambda column: _half_profile(column, grid_size), (*_half_profile_bytes(dim, grid_size), 0)
     table = functools.cache(functools.partial(_cosine_table, dim, grid_size))
     # per column: the spectrum, its squared modulus and the autocorrelation with the inverse
     # transform's working copy, 32 bytes per lag point, and the even and odd lags; then
@@ -146,7 +146,7 @@ def _map_route(total: int, grid_size: int):
     # Per chunk: the table, and the plan and scratch of the lag transforms
     n, q1, h1 = _smooth_length(2 * dim - 1), grid_size // 4 + 1, grid_size // 2 + 1
     return (lambda column: _table_half_profile(column, table(), grid_size, n),
-            (32 * n + 8 * dim + 24 * q1 + 9 * h1, _table_bytes(dim, grid_size) + _fft_bytes(n)))
+            (32 * n + 8 * dim + 24 * q1 + 9 * h1, _table_bytes(dim, grid_size) + _fft_bytes(n), 0))
 
 
 def phase_profile(params: ResourceParams, grid_size: int = DEFAULT_PHASE_GRID) -> PhaseProfile:

@@ -177,7 +177,7 @@ def _spectral_length(dim: int, length: int) -> int:
 
 
 def _sweep_route(target: TargetCoeffs, total: int):
-    """The sweep's reduction of real rotation columns at total, and the bytes it holds per column and once per chunk.
+    """The sweep's reduction of real rotation columns at total, and its bytes as _beta_chunk reads them.
 
     The total and its factor's budget are checked before the transform length
     is searched for, so a non-integer or a huge total is refused at once.  The
@@ -189,9 +189,10 @@ def _sweep_route(target: TargetCoeffs, total: int):
     dim = total + 1
     n = _spectral_length(dim, len(target.coeffs))
     weights = functools.cache(lambda: _spectral_weights(_abs2(target.coeffs), dim)[1])
-    # beside the power spectrum: each column's value, and the weights once per chunk
+    # beside the spectrum: each column's value and the weights; building them holds 24 bytes per weight and per point
     per_column, per_chunk = _half_profile_bytes(dim, n)
-    return lambda column: _half_profile(column, n) @ weights(), (per_column + 8, per_chunk + 8 * (n // 2 + 1))
+    reduce_bytes = per_column + 8, per_chunk + 8 * (n // 2 + 1), 24 * (len(target.coeffs) + n)
+    return lambda column: _half_profile(column, n) @ weights(), reduce_bytes
 
 
 def outcome_distribution(target: TargetCoeffs, resource: ResourceCoeffs) -> OutcomeDistribution:
@@ -248,27 +249,27 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
     return n_in, total - n_in
 
 
-def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int]) -> int:
+def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int, int]) -> int:
     """Beta samples per chunk of a grid row, refusing a grid over MAX_GRID_BYTES before allocating.
 
-    reduce_bytes is what the row reduction holds per beta sample and once per
-    chunk.  The need is the factor, the output and one chunk.  A chunk fills
-    _CHUNK_BYTES or, if less, what the limit leaves, with one beta sample at least.
+    reduce_bytes: what the row reduction holds per beta sample, once per chunk and while
+    it builds what it keeps.  The need is the factor, the output, the build and one chunk.
+    A chunk fills _CHUNK_BYTES or, if less, what the limit leaves, one beta sample at least.
     """
     _check_integer("total", total)
-    per_beta, per_chunk = reduce_bytes
+    per_beta, per_chunk, build = reduce_bytes
     per_beta += _rotation_bytes(total)
-    fixed = _factor_bytes(total) + 8 * n_beta * n_m + per_chunk
+    fixed = _factor_bytes(total) + 8 * n_beta * n_m + per_chunk + build
     # per_chunk counts against _CHUNK_BYTES, as an operand every product reads (the phase map's
     # cosine table) must stay in cache beside the chunk: fig-3 in 50-beta chunks sized without
-    # it ran ~2x slower than in 35 (2 cores, one BLAS thread)
+    # it ran ~2x slower than in 35 (2 cores, one BLAS thread); a build, held once, does not
     room = min(_CHUNK_BYTES - per_chunk, numerics.MAX_GRID_BYTES - fixed)  # the limit as set at call time
     chunk = max(1, min(n_beta, room // per_beta))
     _check_budget(fixed + chunk * per_beta, f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
     return chunk
 
 
-def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, int], label: str) -> FidelityGrid:
+def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, int, int], label: str) -> FidelityGrid:
     """One value per (m, beta) at fixed total, from one factor of the sector generator.
 
     The beta axis is taken in chunks; each compatible m row is rotated as a

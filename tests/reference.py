@@ -93,6 +93,15 @@ def positive_pivots(d: np.ndarray, e: np.ndarray, lam: float, k: int) -> int:
     return flips
 
 
+def stevd_factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair (w, v) of the zero-diagonal generator at total two_j, from LAPACK stevd.
+
+    _rotate takes this full eigensystem as it takes the library's half
+    factor, so the two must give the same columns.
+    """
+    return eigh_tridiagonal(np.zeros(two_j + 1), _offdiagonal(two_j))
+
+
 def column_by_bisection(two_j: int, col: int, beta: float) -> np.ndarray:
     """Real rotation column `col` at total two_j, as eigh_tridiagonal's eigenvector number col.
 

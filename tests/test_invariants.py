@@ -79,17 +79,27 @@ def test_composition_law(column, total):
         assert np.max(np.abs(product - _columns(column, total, every, b1 + b2))) < ENTRY_TOL
 
 
+def _mirrored(total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of the generator from the factor's modes w >= 0: (-1)^n v is the eigenvector for -w."""
+    w, v = factored(total)
+    pair = w > 0.0
+    v = v / np.where(pair, math.sqrt(2.0), 1.0)
+    flipped = (-1.0) ** np.arange(total + 1)[:, None] * v[:, pair]
+    return np.concatenate([-w[pair], w]), np.hstack([flipped, v])
+
+
 @pytest.mark.parametrize("total", (100, 2000))
 def test_discarded_imaginary_residue_is_small(total):
     # the kernel works in real arithmetic; the complex twisted column built
-    # from the same factorization must be real up to rounding (measured 5e-15
-    # at 100, 3e-14 at 2000) and agree with the kernel
-    w, v = factored(total)
+    # from the full eigensystem, mirrored from the same factor, must be real up
+    # to rounding (measured 8e-17 at 100 and 2000) and agree with the kernel
+    # (measured 1.7e-16 and 2.4e-16)
+    w, v = _mirrored(total)
     worst = 0.0
     for beta in BETAS:
         for col in _picks(total):
             ucol = (v * np.exp(1j * beta * w)) @ v[col]
             twisted = _I_POW[(np.arange(total + 1) - col) % 4] * ucol
-            assert np.max(np.abs(twisted.real - rotated_column((w, v), col, beta))) < 1e-13
+            assert np.max(np.abs(twisted.real - rotated_column(factored(total), col, beta))) < 1e-13
             worst = max(worst, float(np.max(np.abs(twisted.imag))))
     assert worst < 1e-12

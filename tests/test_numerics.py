@@ -20,7 +20,7 @@ from bsteleport.oracle import sector_unitary_column
 from bsteleport.phase import phase_argmax
 from bsteleport.protocol import check_sweep_size
 from bsteleport.states import ResourceParams, fock_coeffs, resource_coeffs
-from reference import column_by_bisection, positive_pivots, wigner_d_direct
+from reference import column_by_bisection, positive_pivots, stevd_factor, wigner_d_direct
 from routes import grid_column, over_routes, rotated_column
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
@@ -367,10 +367,12 @@ class TestStableRoute:
         monkeypatch.setattr(numerics, "_STEIN", refuse)
         for beta in (0.0, 1e-300, 1.1, math.pi):
             assert np.array_equal(_column(0, 0, beta), [1.0])
+        w, v = _factor(0)
+        assert np.array_equal(w, [0.0]) and np.array_equal(v, [[1.0]])
 
     def test_point_route_never_factors(self, monkeypatch):
         def refuse(two_j):
-            raise AssertionError("a point reached the full factorization")
+            raise AssertionError("a point reached the grid factor")
 
         for module in (numerics, protocol, states):
             if hasattr(module, "_factor"):
@@ -396,9 +398,36 @@ class TestStableRoute:
             wigner_d_direct(1, 0, 0, math.pi + 0.1)
 
 
+# totals whose every column the half factor rotates as the full stevd eigensystem does, and
+# totals where six picked columns do; measured at most 1.25e-14 and 5.7e-14
+EVERY_COLUMN_TOTALS = (0, 1, 2, 3, 37, 100, 101)
+PICKED_COLUMN_TOTALS = (1000, 1001)
+FACTOR_BETAS = np.array([0.0, 1e-9, 0.3, math.pi / 2, 2.0, math.pi - 1e-6, math.pi])
+
+
+class TestGridFactor:
+    @pytest.mark.parametrize("total", EVERY_COLUMN_TOTALS + PICKED_COLUMN_TOTALS)
+    def test_half_factor_rotates_as_the_full_eigensystem(self, total):
+        # the parity fold over modes w >= 0 against every eigenpair from LAPACK stevd
+        half, full = _factor(total), stevd_factor(total)
+        if total in EVERY_COLUMN_TOTALS:
+            cols, tol = range(total + 1), 1e-13
+        else:
+            cols, tol = (0, 1, total // 3, total // 2, total - 1, total), 2e-13
+        for col in cols:
+            got = rotated_column(half, col, FACTOR_BETAS)
+            assert np.max(np.abs(got - rotated_column(full, col, FACTOR_BETAS))) < tol
+
+    @pytest.mark.parametrize("total", EVERY_COLUMN_TOTALS + PICKED_COLUMN_TOTALS)
+    def test_eigenvalues_are_the_exact_half_spectrum(self, total):
+        # 0 or 1/2, then steps of 1 up to total / 2, bit for bit
+        want = np.array([k / 2 for k in range(total % 2, total + 1, 2)])
+        assert _factor(total)[0].tobytes() == want.tobytes()
+
+
 class TestMemoryBudget:
     def test_one_budget_for_points_and_grids(self, monkeypatch):
-        # the total-2 point solve takes 384 bytes, the smallest total-2 grid 1288
+        # the total-2 point solve takes 384 bytes, the smallest total-2 grid 1204
         # and a 16-point phase reading of its 3 coefficients 1424
         resource = resource_coeffs(ResourceParams(1, 1, 1.0))
         checks = (lambda: resource_coeffs(ResourceParams(1, 1, 1.0)),
@@ -412,6 +441,6 @@ class TestMemoryBudget:
                 check()
 
     def test_refused_need_reads_above_the_limit(self):
-        # total 8188, the first refused, needs 1074003984 bytes, 1024.25 MiB: rounded up, not to the limit
+        # total 16352, the first refused, needs 1073934216 bytes, 1024.18 MiB: rounded up, not to the limit
         with pytest.raises(ValueError, match="about 1025 MiB, above the 1024 MiB limit"):
-            _factor(8188)
+            _factor(16352)

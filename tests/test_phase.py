@@ -309,7 +309,7 @@ class TestArgmaxMap:
         beta_axis = np.pi * np.arange(1, 8) / 8.0
         whole = phase_argmax_map(10, beta_axis, [0.0, 2.0], grid_size=64)
         monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # one beta sample per chunk
-        assert protocol._beta_chunk(10, len(beta_axis), 2, phase._half_profile_bytes(11, 64)) == 1
+        assert protocol._beta_chunk(10, len(beta_axis), 2, (*phase._half_profile_bytes(11, 64), 0)) == 1
         chunked = phase_argmax_map(10, beta_axis, [0.0, 2.0], grid_size=64)
         assert np.array_equal(whole.values, chunked.values)
 

@@ -413,10 +413,10 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too: 1136 bytes for the
-        # total-2 grid of one beta by one m, 1176 for three betas by two in
+        # the budget counts beta samples and m rows too: 1204 bytes for the
+        # total-2 grid of one beta by one m, 1244 for three betas by two in
         # chunks of one beta
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1160)
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1224)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
@@ -429,11 +429,18 @@ class TestFidelitySweep:
         target = cat_coeffs(1.0, 6, tail_tol=1e-4)
         beta_axis = np.pi * np.arange(1, 8) / 8.0
         whole = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
-        per_beta, per_chunk = reduce_bytes = protocol._sweep_route(target, 8)[1]
+        per_beta, per_chunk, _ = reduce_bytes = protocol._sweep_route(target, 8)[1]
         monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * (numerics._rotation_bytes(8) + per_beta) + per_chunk)
         assert protocol._beta_chunk(8, len(beta_axis), 2, reduce_bytes) == 3
         chunked = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
         assert np.max(np.abs(whole.values - chunked.values)) < 1e-14
+
+    def test_weight_build_leaves_the_chunk_as_it_is(self):
+        # building 2^17 + 1 weights holds ~3 MiB once; counted against the chunk's room it
+        # cut the fig-2 axes to 1-beta chunks, which ran 8x slower
+        reduce_bytes = protocol._sweep_route(fock_coeffs(0, 2**17), 100)[1]
+        assert reduce_bytes[2] > protocol._CHUNK_BYTES
+        assert protocol._beta_chunk(100, 101, 51, reduce_bytes) == 101
 
 
 # target, total and betas of the sweep's spectral reduction against the point route;
