@@ -1,10 +1,10 @@
 """Rotation-matrix columns D^j_{m',m}(beta) of the spin-j sector, from one eigensolver.
 
 Each column comes from eigenvectors of a real symmetric tridiagonal at exact
-eigenvalues (_eigenvector: LAPACK stein runs inverse iteration there, and
-stebz only splits the matrix and counts eigenvalues).  A single point solves
-for its one column, an eigenvector of the rotated generator (_column), in
-O(j) time and memory.  A grid solves once for the generator's eigenvectors
+eigenvalues (_eigenvector: LAPACK stein runs inverse iteration there, and for
+a point stebz only splits the matrix and counts eigenvalues).  A single point
+solves for its one column, an eigenvector of the rotated generator (_column),
+in O(j) time and memory.  A grid solves once for the generator's eigenvectors
 of eigenvalue >= 0 (_factor), takes the cosine and sine of each block of
 angles once (_trig), and rotates every column it needs from those
 (_rotate); both grid products then read a column's power spectrum
@@ -123,15 +123,19 @@ def _factor(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact eigenvalues w >= 0 of the tridiagonal generator G of spin j, and eigenvectors v, times sqrt(2) where w > 0.
 
     G has zero diagonal, so the parity flip (-1)^n maps its eigenvector for w
-    onto the one for -w, which the sqrt(2) carries into _rotate.  Every rotation of
+    onto the one for -w, which the sqrt(2) carries into _rotate.  The zero
+    diagonal also means stebz's split test e_k^2 <= eps^2 |d_k d_{k+1}| never
+    holds, so G is one block and every mode goes straight to stein.  Every rotation of
     the sector reuses it.  A factor over MAX_GRID_BYTES is refused before anything is allocated.
     """
     _check_budget(_factor_bytes(two_j), f"total {two_j} needs a factor of")
-    d, e = np.zeros(two_j + 1), _offdiagonal(two_j)
+    dim = two_j + 1
+    d, e = np.zeros(dim), _offdiagonal(two_j)
+    one_block = np.ones(dim, np.int32), np.full(dim, dim, np.int32)  # stebz's iblock and isplit for G
     w = np.arange((two_j + 1) // 2, two_j + 1) - two_j / 2
-    v = np.empty((two_j + 1, len(w)))
+    v = np.empty((dim, len(w)))
     for k, lam in enumerate(w):  # scaled one by one: an in-place v *= row buffered up to 0.85 v
-        v[:, k] = _eigenvector(d, e, lam) * (math.sqrt(2.0) if lam > 0.0 else 1.0)
+        v[:, k] = _eigenvector(d, e, lam, one_block) * (math.sqrt(2.0) if lam > 0.0 else 1.0)
     return w, v
 
 
@@ -240,23 +244,26 @@ def _count_above(d: np.ndarray, e: np.ndarray, lam: float, k: int) -> int:
     return _lapack(_STEBZ, d[:k], e[:k - 1], 1, lam, hi, 0, 0, 1e300, "E")[0]
 
 
-def _eigenvector(d: np.ndarray, e: np.ndarray, lam: float) -> np.ndarray:
+def _eigenvector(d: np.ndarray, e: np.ndarray, lam: float, split=None) -> np.ndarray:
     """Unit eigenvector, of arbitrary sign, of the tridiagonal (d, e) for its exact eigenvalue lam.
 
     lam must be the only eigenvalue in (lam - 1/2, lam + 1/2].  On that
     window stebz, at a tolerance of 1, does no bisection: it only splits
     the matrix where a coupling is negligible against its diagonal
     neighbours and finds lam's block.  stein then runs inverse iteration on
-    that block at the exact lam, not at stebz's estimate.  A LAPACK
-    failure, or a window that does not hold exactly one eigenvalue, raises
-    np.linalg.LinAlgError.  A 1 x 1 matrix gives [1] (f2py refuses empty e).
+    that block at the exact lam, not at stebz's estimate.  A caller that
+    knows the split passes stebz's (iblock, isplit) as split, and stebz is
+    skipped.  A LAPACK failure, or a window that does not hold exactly one
+    eigenvalue, raises np.linalg.LinAlgError.  A 1 x 1 matrix gives [1]
+    (f2py refuses empty e).
     """
     if len(d) == 1:
         return np.ones(1)
-    m, _, iblock, isplit = _lapack(_STEBZ, d, e, 1, lam - 0.5, lam + 0.5, 0, 0, 1.0, "B")
-    if m != 1:
-        raise np.linalg.LinAlgError(f"stebz found {m} eigenvalues near {lam}, not 1")
-    return _lapack(_STEIN, d, e, np.array([lam]), iblock, isplit)[0][:, 0]
+    if split is None:
+        m, _, *split = _lapack(_STEBZ, d, e, 1, lam - 0.5, lam + 0.5, 0, 0, 1.0, "B")
+        if m != 1:
+            raise np.linalg.LinAlgError(f"stebz found {m} eigenvalues near {lam}, not 1")
+    return _lapack(_STEIN, d, e, np.array([lam]), *split)[0][:, 0]
 
 
 def _column(two_j: int, col: int, beta: float) -> np.ndarray:

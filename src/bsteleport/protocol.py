@@ -30,6 +30,14 @@ DEFINED_MIN = 1e-15
 # 101-beta chunk than in chunks this size (30 and 35 betas at total 100, K = 4096;
 # 2 cores, one BLAS thread)
 _CHUNK_BYTES = 21 << 17  # 2.625 MiB
+# bytes _mirror_pairs holds per beta sample at most: the sort's order and sorted copy,
+# and for each beta above pi/2 its mirror angle, a shifted copy and its partner's
+# position (tracemalloc saw 29.5 with half the axis above pi/2, 40 with all of it);
+# what the grid keeps of it, and each row's copy, take at most 24
+_MIRROR_BYTES = 40
+# a beta above pi/2 is computed at an axis entry this close to pi - beta: on the CLI
+# axes pi k / (N + 1), pi - beta_k is beta_{N+1-k} to within spacing(pi)
+_MIRROR_TOL = 2 * np.spacing(np.pi)
 
 
 class UndefinedOutcomeError(ValueError):
@@ -249,24 +257,47 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
     return n_in, total - n_in
 
 
-def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int, int]) -> int:
+def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int, int],
+                n_rotated: int | None = None) -> int:
     """Beta samples per chunk of a grid row, refusing a grid over MAX_GRID_BYTES before allocating.
 
     reduce_bytes: what the row reduction holds per beta sample, once per chunk and while
-    it builds what it keeps.  The need is the factor, the output, the build and one chunk.
+    it builds what it keeps.  The need is the factor, the output and the mirror's pairing
+    over all n_beta samples, the build and one chunk of the n_rotated samples that are
+    rotated (_mirror_pairs; by default all of them, an upper bound).
     A chunk fills _CHUNK_BYTES or, if less, what the limit leaves, one beta sample at least.
     """
     _check_integer("total", total)
     per_beta, per_chunk, build = reduce_bytes
     per_beta += _rotation_bytes(total)
-    fixed = _factor_bytes(total) + 8 * n_beta * n_m + per_chunk + build
+    fixed = _factor_bytes(total) + (8 * n_m + _MIRROR_BYTES) * n_beta + per_chunk + build
     # per_chunk counts against _CHUNK_BYTES, as an operand every product reads (the phase map's
     # cosine table) must stay in cache beside the chunk: fig-3 in 50-beta chunks sized without
     # it ran ~2x slower than in 35 (2 cores, one BLAS thread); a build, held once, does not
     room = min(_CHUNK_BYTES - per_chunk, numerics.MAX_GRID_BYTES - fixed)  # the limit as set at call time
-    chunk = max(1, min(n_beta, room // per_beta))
+    chunk = max(1, min(n_beta if n_rotated is None else n_rotated, room // per_beta))
     _check_budget(fixed + chunk * per_beta, f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
     return chunk
+
+
+def _mirror_pairs(beta_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rotated, paired, partner): indices of the betas a grid computes, in axis order, and of each other beta and its partner.
+
+    A beta above pi/2 is paired with an axis entry beta' <= pi/2 where
+    |(pi - beta) - beta'| <= _MIRROR_TOL; pi - beta is exact there (Sterbenz).
+    """
+    order = np.argsort(beta_axis, kind="stable")
+    ascending = beta_axis[order]
+    n_low = np.searchsorted(ascending, np.pi / 2, "right")
+    mirror = np.pi - ascending[n_low:]
+    pos = np.searchsorted(ascending, mirror - _MIRROR_TOL)  # the first beta not below the tolerance
+    mirror -= ascending[pos]  # a partner lies within the tolerance above, and below pi/2
+    found = (pos < n_low) & (mirror >= -_MIRROR_TOL)
+    del ascending, mirror  # freed before the index arrays are built, as _MIRROR_BYTES counts
+    paired = order[n_low:][found]
+    rotated = np.ones(len(beta_axis), bool)
+    rotated[paired] = False
+    return np.flatnonzero(rotated), paired, order[pos[found]]
 
 
 def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, int, int], label: str) -> FidelityGrid:
@@ -277,6 +308,14 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
     angles, and reduce_row(column) turns the block alone, whatever the row's
     input, into one value per beta, holding reduce_bytes (see _beta_chunk).
     Other rows warn and stay NaN.
+
+    reduce_row must be invariant under reversing the column: the reversal
+    R: n -> total - n gives c(pi - beta) = +-R c(beta), the reflection
+    d^j_{m'm}(pi - beta) = (-1)^{j+m'} d^j_{m',-m}(beta), and both products
+    keep it (TestMirror in tests/test_phase.py and tests/test_protocol.py
+    derive each).  So a beta above pi/2 whose mirror pi - beta is on the
+    axis (_mirror_pairs) is neither rotated nor reduced: its cells are
+    copied from its partner's.  An axis without such pairs rotates every beta.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
@@ -286,7 +325,9 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
         raise ValueError("axes must be finite")
     if np.any(beta_axis < 0.0) or np.any(beta_axis > np.pi):
         raise ValueError("beta axis must lie in [0, pi]")
-    chunk = _beta_chunk(total, len(beta_axis), len(m_axis), reduce_bytes)
+    # the pairing, at most 5 times the axis the caller holds, is the one thing made before the check
+    rotated, paired, partner = _mirror_pairs(beta_axis)
+    chunk = _beta_chunk(total, len(beta_axis), len(m_axis), reduce_bytes, len(rotated))
 
     factor = _factor(total)
     values = np.full((len(m_axis), len(beta_axis)), np.nan)
@@ -297,10 +338,13 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
             warnings.warn(f"m={m:g} incompatible with total={total}; row marked invalid")
         else:
             rows.append((i, split[0]))
-    for k in range(0, len(beta_axis), chunk):
-        trig = _trig(factor, beta_axis[k:k + chunk])  # one cosine and sine for every row
+    for k in range(0, len(rotated), chunk):
+        cols = rotated[k:k + chunk]
+        trig = _trig(factor, beta_axis[cols])  # one cosine and sine for every row
         for i, n_in in rows:
-            values[i, k:k + chunk] = reduce_row(_rotate(factor, n_in, trig))
+            values[i, cols] = reduce_row(_rotate(factor, n_in, trig))
+    for i, _ in rows:  # row by row, so the copy holds at most one row's partners
+        values[i, paired] = values[i, partner]
     return FidelityGrid(beta_axis, m_axis, values, total, label)
 
 

@@ -121,6 +121,22 @@ def test_table_cases_sit_on_each_side_of_the_rule():
     assert phase._takes_table(101, 4096)  # fig-3
 
 
+@pytest.mark.parametrize("dim, grid_size", [(101, 4096), (127, 4096), (11, 16384)])
+def test_table_build_count_bounds_its_peak(dim, grid_size):
+    # what building the map's cosine table holds beyond the table, against the build
+    # the map's route counts: fig-3's table, the largest at K = 4096, and a long cosine row
+    assert phase._takes_table(dim, grid_size)
+    build = phase._map_route(dim - 1, grid_size)[1][2]
+    phase._cosine_table(dim, grid_size)
+    tracemalloc.start()
+    try:
+        table = phase._cosine_table(dim, grid_size)
+        peak = tracemalloc.get_traced_memory()[1] - table.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= build <= 2 * peak, (build, peak)
+
+
 # total, beta samples and target of one sweep reduction: the figure's row, weights
 # longer than the sector, and larger totals
 REDUCTIONS = {

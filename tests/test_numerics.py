@@ -424,10 +424,29 @@ class TestGridFactor:
         want = np.array([k / 2 for k in range(total % 2, total + 1, 2)])
         assert _factor(total)[0].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("total", [1, 2, 37, 100, 101, 1000, 1001, 4000])
+    def test_generator_is_one_block(self, total):
+        # stebz splits where e_k^2 <= eps^2 |d_k d_{k+1}|; G's diagonal is zero, so
+        # it never does, and the factor hands stein the one block stebz would find;
+        # a window past the whole spectrum at a huge tolerance splits without bisecting
+        d, e = np.zeros(total + 1), numerics._offdiagonal(total)
+        m, _, iblock, isplit, info = numerics._STEBZ(d, e, 1, -total, total, 0, 0, 1e300, "B")
+        assert info == 0 and m == total + 1
+        assert np.all(iblock[:m] == 1) and isplit[0] == total + 1
+
+    @pytest.mark.parametrize("total", EVERY_COLUMN_TOTALS + PICKED_COLUMN_TOTALS)
+    def test_factor_is_the_per_mode_point_solve(self, total):
+        # each mode by _eigenvector with its own stebz split, bit for bit
+        d, e = np.zeros(total + 1), numerics._offdiagonal(total)
+        w, v = _factor(total)
+        want = np.column_stack([numerics._eigenvector(d, e, lam) * (math.sqrt(2.0) if lam > 0.0 else 1.0)
+                                for lam in w])
+        assert v.tobytes() == want.tobytes()
+
 
 class TestMemoryBudget:
     def test_one_budget_for_points_and_grids(self, monkeypatch):
-        # the total-2 point solve takes 384 bytes, the smallest total-2 grid 1204
+        # the total-2 point solve takes 384 bytes, the smallest total-2 grid 1244
         # and a 16-point phase reading of its 3 coefficients 1424
         resource = resource_coeffs(ResourceParams(1, 1, 1.0))
         checks = (lambda: resource_coeffs(ResourceParams(1, 1, 1.0)),

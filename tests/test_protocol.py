@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsteleport import numerics, protocol
+from bsteleport import numerics, phase, protocol
+from bsteleport.phase import phase_argmax_map
 from bsteleport.protocol import (
     DEFINED_MIN,
     UndefinedOutcomeError,
@@ -413,10 +414,10 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too: 1204 bytes for the
-        # total-2 grid of one beta by one m, 1244 for three betas by two in
+        # the budget counts beta samples and m rows too: 1244 bytes for the
+        # total-2 grid of one beta by one m, 1364 for three betas by two in
         # chunks of one beta
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1224)
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1304)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
@@ -518,7 +519,9 @@ class TestMirror:
     Toeplitz matrix, which the reversal R: n -> 2j - n leaves unchanged.  Since
     c(pi - beta) = +-R c(beta) (see test_phase.py's TestMirror), the form is
     unchanged.  This holds exactly only for a sum over every outcome: p[q] at
-    pi - beta is a different sequence, so a mask on p would break it.
+    pi - beta is a different sequence, so a mask on p would break it.  A grid
+    copies the cell at pi - beta from beta's when both are on its axis, so the
+    sweep's cells are compared between half axes swept on their own.
     """
 
     TARGETS = (cat_coeffs(3.0, suggest_cutoff(3.0)),
@@ -538,9 +541,98 @@ class TestMirror:
     @pytest.mark.parametrize("total", [37, 100, 101])
     def test_sweep_cells(self, total):
         # on the CLI axis beta_k = pi k / 102, pi - beta_k is beta_{102 - k} to
-        # an ulp; measured at most 4.1e-15
+        # an ulp; the half axes beta <= pi/2 and beta > pi/2 hold no pair each;
+        # measured at most 1.3e-15
         betas = np.pi * np.arange(1, 102) / 102
         m_axis = np.arange(total // 2 + 1) + total % 2 / 2
         for target in self.TARGETS:
-            values = fidelity_sweep(target, total, betas, m_axis).values
-            assert np.max(np.abs(values - values[:, ::-1])) <= 2e-14
+            low, high = (fidelity_sweep(target, total, half, m_axis).values for half in (betas[:51], betas[51:]))
+            assert np.max(np.abs(high[:, ::-1] - low[:, :50])) <= 2e-14
+
+
+class TestMirrorPairs:
+    """The grid driver rotates one beta of each pair beta, pi - beta on its axis and copies the other's cells.
+
+    TestMirror shows that both products are invariant under the mirror; these
+    check which betas are rotated and that every cell lands where it belongs.
+    """
+
+    TOTAL = 20
+    M_AXIS = np.arange(6.0)
+    TARGET = cat_coeffs(1.5, suggest_cutoff(1.5))
+    # the CLI axis of 101 betas, where pi - beta_k is beta_{102 - k} to an ulp
+    CLI_BETAS = np.pi * np.arange(1, 102) / 102
+
+    def _grids(self, beta_axis):
+        return (fidelity_sweep(self.TARGET, self.TOTAL, beta_axis, self.M_AXIS).values,
+                phase_argmax_map(self.TOTAL, beta_axis, self.M_AXIS, grid_size=64).values)
+
+    def _rotated_betas(self, monkeypatch, beta_axis) -> list:
+        # every beta the two grids rotate, in order: the sweep's, then the map's
+        seen = []
+
+        def spy(factor, beta):
+            seen.extend(np.atleast_1d(beta))
+            return numerics._trig(factor, beta)
+
+        monkeypatch.setattr(protocol, "_trig", spy)
+        self._grids(beta_axis)
+        return seen
+
+    def test_axis_without_pairs_rotates_every_beta(self, monkeypatch):
+        # no beta above pi/2 has its mirror on this axis, so each cell is the
+        # reduction of the grid kernel's own column, bit for bit
+        beta_axis = np.concatenate([np.linspace(0.1, 1.4, 13), [2.0, 2.9]])
+        assert [len(part) for part in protocol._mirror_pairs(beta_axis)] == [15, 0, 0]
+        sweep, phase_map = self._grids(beta_axis)
+        sweep_row = protocol._sweep_route(self.TARGET, self.TOTAL)[0]
+        map_profile = phase._map_route(self.TOTAL, 64)[0]
+        factor = _factor(self.TOTAL)
+        for i, m in enumerate(self.M_AXIS):
+            column = rotated_column(factor, self.TOTAL // 2 + int(m), beta_axis)
+            assert np.array_equal(sweep[i], sweep_row(column))
+            assert np.array_equal(phase_map[i], phase._peak(map_profile(column), 64)[0])
+        assert len(self._rotated_betas(monkeypatch, beta_axis)) == 2 * 15
+
+    def test_cli_axis_rotates_half_of_its_betas(self, monkeypatch):
+        # beta_51 = pi/2 is its own mirror; shifting the axis by 1e-3 leaves no pair
+        seen = self._rotated_betas(monkeypatch, self.CLI_BETAS)
+        assert seen == 2 * list(self.CLI_BETAS[:51])
+        assert len(self._rotated_betas(monkeypatch, self.CLI_BETAS + 1e-3)) == 2 * 101
+
+    def test_partners_pair_within_two_spacings_of_pi(self):
+        # pi - 2.5 is exact, and so is each partner 2 or 4 spacings from it
+        mirror, ulp = math.pi - 2.5, np.spacing(np.pi)
+        for shift, pairs in ((-4, False), (-2, True), (0, True), (2, True), (4, False)):
+            partner = mirror + shift * ulp
+            assert (math.pi - 2.5) - partner == -shift * ulp
+            rotated, paired, partners = protocol._mirror_pairs(np.array([partner, 2.5]))
+            if pairs:
+                assert rotated.tolist() == [0] and paired.tolist() == [1] and partners.tolist() == [0]
+            else:
+                assert rotated.tolist() == [0, 1] and paired.size == 0 and partners.size == 0
+        # pi/2 is rotated, not paired with a neighbour an ulp below, and a beta an
+        # ulp above it is not its own partner, though its mirror lies within 2 spacings
+        half_ulp = np.spacing(np.pi / 2)
+        for beta_axis, n_rotated in (([np.pi / 2 - half_ulp, np.pi / 2], 2), ([np.pi / 2 + half_ulp], 1)):
+            assert [len(part) for part in protocol._mirror_pairs(np.array(beta_axis))] == [n_rotated, 0, 0]
+
+    def test_pi_takes_the_exact_delta_cell_of_zero(self, monkeypatch):
+        # at beta = 0 the kernel gives the exact delta; the cell at pi is a copy of it
+        at_zero = self._grids([0.0])
+        for grid, zero in zip(self._grids([math.pi, 0.0]), at_zero):
+            assert np.array_equal(grid, np.column_stack([zero, zero]))
+        assert self._rotated_betas(monkeypatch, [math.pi, 0.0]) == [0.0, 0.0]
+
+    def test_duplicated_and_unsorted_betas(self, monkeypatch):
+        beta_axis = np.array([2.5, 0.3, math.pi - 0.3, math.pi - 2.5, 0.3, 2.5, math.pi / 2, math.pi - 0.3])
+        rotated, paired, partner = protocol._mirror_pairs(beta_axis)
+        assert rotated.tolist() == [1, 3, 4, 6] and sorted(paired.tolist()) == [0, 2, 5, 7]
+        assert np.all(np.abs((math.pi - beta_axis[paired]) - beta_axis[partner]) <= 2 * np.spacing(np.pi))
+        sweep, phase_map = self._grids(beta_axis)
+        for k, beta in enumerate(beta_axis):
+            # each cell against its beta on an axis of its own, computed where it is below pi/2
+            alone = self._grids([min(beta, math.pi - beta)])
+            assert np.max(np.abs(sweep[:, k] - alone[0][:, 0])) <= 1e-14
+            assert np.array_equal(phase_map[:, k], alone[1][:, 0])
+        assert len(self._rotated_betas(monkeypatch, beta_axis)) == 2 * 4
