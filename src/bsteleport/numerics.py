@@ -6,9 +6,9 @@ a point stebz only splits the matrix and counts eigenvalues).  A single point
 solves for its one column, an eigenvector of the rotated generator (_column),
 in O(j) time and memory.  A grid solves once for the generator's eigenvectors
 of eigenvalue >= 0 (_factor), takes the cosine and sine of each block of
-angles once (_trig), and rotates every column it needs from those
-(_rotate); both grid products then read a column's power spectrum
-(_half_profile).  Half-integer indices are carried as doubled integers.
+angles once (_trig); the phase map rotates its columns from those (_rotate)
+and reads their power spectrum (_half_profile), the fidelity sweep reads
+the modes (protocol._sweep_route).  Half-integers are carried doubled.
 """
 
 from __future__ import annotations
@@ -176,10 +176,7 @@ def _smooth(n: int) -> bool:
 
 
 def _smooth_length(least: int) -> int:
-    """The first transform length from `least` with no prime factor above 11 (202 = 2 * 101 ran 5x slower than 210).
-
-    Near 10^18 such lengths are so sparse that the caller must refuse a huge `least` first.
-    """
+    """The first transform length from `least` with no prime factor above 11 (202 = 2 * 101 ran 5x slower than 210)."""
     n = least
     while not _smooth(n):
         n += 1
@@ -215,8 +212,7 @@ def _half_profile(column: np.ndarray, grid_size: int) -> np.ndarray:
     """Power spectrum |C(theta_k)|^2 of real columns at theta_k = 2 pi k / K, k = 0..K//2, one row per column.
 
     The spectrum of a real column is mirror-symmetric, so this half holds all
-    of it.  Both grid products read it: the phase map as its profile, the
-    fidelity sweep weighted by the target's kernel.
+    of it: the phase map's profile.
     """
     z = np.fft.rfft(_folded(column, grid_size), n=grid_size, axis=-1)
     return z.real**2 + z.imag**2

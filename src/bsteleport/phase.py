@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (_I_POW, _check_budget, _check_integer, _fft_bytes, _folded, _half_profile,
-                       _half_profile_bytes, _smooth_length)
+                       _half_profile_bytes, _rotate, _rotation_bytes, _smooth_length)
 from .protocol import FidelityGrid, _beta_chunk, _grid
 from .states import ResourceCoeffs, ResourceParams, resource_coeffs
 
@@ -127,7 +127,7 @@ def _table_half_profile(column: np.ndarray, table: np.ndarray, grid_size: int, n
 
 
 def _map_route(total: int, grid_size: int):
-    """The map's half profile of real rotation columns at total, and its bytes as protocol._beta_chunk reads them.
+    """The map's half profile of rotation columns at total, and its bytes, rotation included, for protocol._beta_chunk.
 
     The route is settled here once per map: the total and K are checked
     before the rule reads them, and the table route, taken when _takes_table
@@ -136,9 +136,10 @@ def _map_route(total: int, grid_size: int):
     """
     _check_integer("total", total)
     _check_grid_size(grid_size)
-    dim = total + 1
+    dim, rotation = total + 1, _rotation_bytes(total)
     if not _takes_table(dim, grid_size):
-        return lambda column: _half_profile(column, grid_size), (*_half_profile_bytes(dim, grid_size), 0)
+        per_column, per_chunk = _half_profile_bytes(dim, grid_size)
+        return lambda column: _half_profile(column, grid_size), (rotation + per_column, per_chunk, 0)
     table = functools.cache(functools.partial(_cosine_table, dim, grid_size))
     # per column: the spectrum, its squared modulus and the autocorrelation with the inverse
     # transform's working copy, 32 bytes per lag point, and the even and odd lags; then
@@ -149,7 +150,7 @@ def _map_route(total: int, grid_size: int):
     # table at dim 101, K = 4096, against the 65,568 counted)
     n, q1, h1 = _smooth_length(2 * dim - 1), grid_size // 4 + 1, grid_size // 2 + 1
     return (lambda column: _table_half_profile(column, table(), grid_size, n),
-            (32 * n + 8 * dim + 24 * q1 + 9 * h1, _table_bytes(dim, grid_size) + _fft_bytes(n),
+            (rotation + 32 * n + 8 * dim + 24 * q1 + 9 * h1, _table_bytes(dim, grid_size) + _fft_bytes(n),
              8 * grid_size + 32 * q1))
 
 
@@ -187,7 +188,8 @@ def phase_argmax_map(total: int, beta_axis, m_axis, grid_size: int = DEFAULT_PHA
     in the fidelity sweep.
     """
     half_profile, reduce_bytes = _map_route(total, grid_size)
-    return _grid(total, beta_axis, m_axis, lambda column: _peak(half_profile(column), grid_size)[0],
+    return _grid(total, beta_axis, m_axis,
+                 lambda factor, n_in, trig: _peak(half_profile(_rotate(factor, n_in, trig)), grid_size)[0],
                  reduce_bytes, "phase-argmax")
 
 

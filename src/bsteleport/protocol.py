@@ -11,7 +11,6 @@ coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import (_check_budget, _check_integer, _factor, _factor_bytes, _half_profile, _half_profile_bytes,
-                       _rotate, _rotation_bytes, _smooth_length, _trig)
+from .numerics import _check_budget, _check_integer, _factor, _factor_bytes, _trig
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs
 
 # conditional quantities are undefined for outcomes of probability at or below this
@@ -38,6 +36,7 @@ _MIRROR_BYTES = 40
 # a beta above pi/2 is computed at an axis entry this close to pi - beta: on the CLI
 # axes pi k / (N + 1), pi - beta_k is beta_{N+1-k} to within spacing(pi)
 _MIRROR_TOL = 2 * np.spacing(np.pi)
+_KERNEL_BLOCK = 128  # rows of A's band, and modes, per block of the sweep's kernel build
 
 
 class UndefinedOutcomeError(ValueError):
@@ -139,8 +138,8 @@ def _convolved(target: TargetCoeffs, *parts: np.ndarray) -> np.ndarray:
 
     The parts are laid end to end, each followed by cutoff zeros, so one
     np.convolve serves them all without one reaching into the next.  Points
-    take this route; it shares no algebra with the sweep's spectral
-    reduction (_spectral_weights), which tests check against it.
+    take this route; it shares no algebra with the sweep's quadratic form
+    in the factor's modes (_sweep_route), which tests check against it.
     """
     w = _abs2(target.coeffs)
     x = np.zeros((len(parts),) + parts[0].shape[:-1] + (len(w) + parts[0].shape[-1] - 1,))
@@ -154,53 +153,57 @@ def _outcomes(target: TargetCoeffs, d: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return p, re**2 + im**2
 
 
-def _spectral_weights(w: np.ndarray, dim: int) -> tuple[int, np.ndarray]:
-    """(n, h) such that _half_profile(column, n) @ h is the average fidelity of any resource of the real column.
+def _sweep_kernel(lags: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v^T A v for the banded Toeplitz A[i, i'] = lags[|i - i'|], zero past the last lag.
 
-    F = c^T M c for the real column c of dim levels, with M[n, n'] =
-    a(n - n') cos(pi (n - n') / 2) and a the autocorrelation of the target
-    weights w (see TestMirror in tests/test_protocol.py).  M(k) is 0 past
-    k_max = min(dim, len(w)) - 1, so M's lags laid out circularly on any
-    length n >= dim + k_max give back c^T M c, and by Parseval
-    F = (1/n) sum_k |C_k|^2 Mhat_k over the DFTs of length n.  h is Mhat / n
-    on rfft's bins, doubled where a bin also stands for its mirror.
+    A v is taken in blocks of _KERNEL_BLOCK rows, each one product of a slab of A's band with
+    the rows of v it reaches, and of as many modes, so one block of A v is held beside v^T A v.
     """
-    k_max = min(dim, len(w)) - 1
-    n = _spectral_length(dim, len(w))
-    # a(k) for k = 0..k_max only, in O(len(w) k_max): a cutoff may be in the millions
-    lags = np.correlate(np.concatenate([w, np.zeros(k_max)]), w, "valid")
-    lags[1::2] = 0.0
-    lags[2::4] *= -1.0
-    m = np.zeros(n)
-    m[:k_max + 1] = lags
-    m[n - k_max:] = lags[:0:-1]
-    h = np.fft.rfft(m).real / n
-    h[1:(n + 1) // 2] *= 2.0  # an even n's Nyquist bin counts once
-    return n, h
-
-
-def _spectral_length(dim: int, length: int) -> int:
-    """The transform length _spectral_weights takes for dim levels and length target weights."""
-    return _smooth_length(dim + min(dim, length) - 1)
+    n, s, b = len(v), min(_KERNEL_BLOCK, max(len(v), 1)), min(len(lags), max(len(v), 1)) - 1
+    t = np.concatenate([lags[:b + 1], np.zeros(s - 1)])
+    band = t[np.abs(np.arange(s)[:, None] + b - np.arange(s + 2 * b))]  # A[r + i, r - b + j] for every r
+    out = np.empty((v.shape[1],) * 2)
+    for c in range(0, v.shape[1], s):
+        av = np.empty((n, min(s, v.shape[1] - c)))
+        for r in range(0, n, s):
+            lo, hi = max(0, r - b), min(n, r + s + b)
+            av[r:r + s] = band[:min(s, n - r), lo - r + b:hi - r + b] @ v[lo:hi, c:c + s]
+        out[c:c + s] = av.T @ v
+    return out
 
 
 def _sweep_route(target: TargetCoeffs, total: int):
-    """The sweep's reduction of real rotation columns at total, and its bytes as _beta_chunk reads them.
+    """The sweep's reducer of a grid row at total, and its bytes as _beta_chunk reads them.
 
-    The total and its factor's budget are checked before the transform length
-    is searched for, so a non-integer or a huge total is refused at once.  The
-    weights are built at the first call, so a sweep refused before any row is
-    rotated builds none.
+    A cell is c^T M c for the row's rotation column c, M[n, n'] = a(n - n') cos(pi (n - n') / 2)
+    with a the autocorrelation of the target weights (TestMirror in tests/test_protocol.py).
+    M's odd lags vanish, and on the levels of one parity p the column's alternating
+    i^(n - n_in) signs cancel the cosine, leaving the Toeplitz A_p[i, i'] = a(2 (i - i')).
+    Those of n_in's parity p are (cos(beta w) a) v_p^T for a = v[n_in] of _factor, the others
+    q (sin(beta w) a) v_q^T, so a cell is x K_p x + y K_q y with x = cos(beta w) a,
+    y = sin(beta w) a and K_p = v_p^T A_p v_p, both built at the first row.
     """
     _check_integer("total", total)
-    _check_budget(_factor_bytes(total), f"total {total} needs a factor of")
-    dim = total + 1
-    n = _spectral_length(dim, len(target.coeffs))
-    weights = functools.cache(lambda: _spectral_weights(_abs2(target.coeffs), dim)[1])
-    # beside the spectrum: each column's value and the weights; building them holds 24 bytes per weight and per point
-    per_column, per_chunk = _half_profile_bytes(dim, n)
-    reduce_bytes = per_column + 8, per_chunk + 8 * (n // 2 + 1), 24 * (len(target.coeffs) + n)
-    return lambda column: _half_profile(column, n) @ weights(), reduce_bytes
+    modes, k_max = total // 2 + 1, min(total + 1, len(target.coeffs)) - 1
+    kernels = []
+
+    def reduce_row(factor, n_in, trig):
+        v, p = factor[1], n_in % 2
+        if not kernels:
+            w = _abs2(target.coeffs)
+            # a(k) for k = 0..k_max only, in O(len(w) k_max): a cutoff may be in the millions
+            lags = np.correlate(np.concatenate([w, np.zeros(k_max)]), w, "valid")[::2]
+            kernels.extend(_sweep_kernel(lags, v[q::2]) for q in (0, 1))
+        x, y = trig[1] * v[n_in], trig[2] * v[n_in]
+        return np.einsum("bi,bi->b", x @ kernels[p], x) + np.einsum("bi,bi->b", y @ kernels[1 - p], y)
+
+    # per beta: the chunk's angles, cosine and sine, x, y, one product with a kernel and the
+    # cells.  Once: both kernels; while they are built, the weights and their lags, one band
+    # slab with its indices, and one block of A v with its product
+    block = min(_KERNEL_BLOCK, modes)
+    slab = block * (block + 2 * min(k_max // 2, modes - 1))
+    build = 16 * modes**2 + 16 * len(target.coeffs) + 24 * k_max + 24 * slab + 16 * block * modes
+    return reduce_row, (48 * modes + 16, 0, build)
 
 
 def outcome_distribution(target: TargetCoeffs, resource: ResourceCoeffs) -> OutcomeDistribution:
@@ -258,30 +261,31 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
 
 
 def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int, int],
-                n_rotated: int | None = None) -> int:
+                n_computed: int | None = None) -> int:
     """Beta samples per chunk of a grid row, refusing a grid over MAX_GRID_BYTES before allocating.
 
-    reduce_bytes: what the row reduction holds per beta sample, once per chunk and while
-    it builds what it keeps.  The need is the factor, the output and the mirror's pairing
-    over all n_beta samples, the build and one chunk of the n_rotated samples that are
-    rotated (_mirror_pairs; by default all of them, an upper bound).
-    A chunk fills _CHUNK_BYTES or, if less, what the limit leaves, one beta sample at least.
+    reduce_bytes: what a row's reduction holds per beta sample (the chunk's _trig included),
+    once per chunk, and once per grid for what it builds.  The need is the factor, the output
+    and the mirror's pairing over all n_beta samples, the build and a chunk of the n_computed
+    samples computed (_mirror_pairs; by default all).  A chunk fills _CHUNK_BYTES or, if less,
+    what the limit leaves, one sample at least, so the axis lengths alone decide a refusal:
+    n_computed=0 only refuses, passing no need otherwise.
     """
     _check_integer("total", total)
     per_beta, per_chunk, build = reduce_bytes
-    per_beta += _rotation_bytes(total)
     fixed = _factor_bytes(total) + (8 * n_m + _MIRROR_BYTES) * n_beta + per_chunk + build
     # per_chunk counts against _CHUNK_BYTES, as an operand every product reads (the phase map's
     # cosine table) must stay in cache beside the chunk: fig-3 in 50-beta chunks sized without
     # it ran ~2x slower than in 35 (2 cores, one BLAS thread); a build, held once, does not
     room = min(_CHUNK_BYTES - per_chunk, numerics.MAX_GRID_BYTES - fixed)  # the limit as set at call time
-    chunk = max(1, min(n_beta if n_rotated is None else n_rotated, room // per_beta))
-    _check_budget(fixed + chunk * per_beta, f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
+    chunk = max(1, min(n_beta if n_computed is None else n_computed, room // per_beta))
+    if n_computed != 0 or fixed + per_beta > numerics.MAX_GRID_BYTES:
+        _check_budget(fixed + chunk * per_beta, f"a grid of {n_beta} beta samples by {n_m} m rows at total {total} needs")
     return chunk
 
 
 def _mirror_pairs(beta_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rotated, paired, partner): indices of the betas a grid computes, in axis order, and of each other beta and its partner.
+    """(computed, paired, partner): indices of the betas a grid computes, in axis order, and of each other beta and its partner.
 
     A beta above pi/2 is paired with an axis entry beta' <= pi/2 where
     |(pi - beta) - beta'| <= _MIRROR_TOL; pi - beta is exact there (Sterbenz).
@@ -295,27 +299,25 @@ def _mirror_pairs(beta_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     found = (pos < n_low) & (mirror >= -_MIRROR_TOL)
     del ascending, mirror  # freed before the index arrays are built, as _MIRROR_BYTES counts
     paired = order[n_low:][found]
-    rotated = np.ones(len(beta_axis), bool)
-    rotated[paired] = False
-    return np.flatnonzero(rotated), paired, order[pos[found]]
+    computed = np.ones(len(beta_axis), bool)
+    computed[paired] = False
+    return np.flatnonzero(computed), paired, order[pos[found]]
 
 
 def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, int, int], label: str) -> FidelityGrid:
     """One value per (m, beta) at fixed total, from one factor of the sector generator.
 
-    The beta axis is taken in chunks; each compatible m row is rotated as a
-    real column block over a chunk, from one cosine and sine of the chunk's
-    angles, and reduce_row(column) turns the block alone, whatever the row's
-    input, into one value per beta, holding reduce_bytes (see _beta_chunk).
-    Other rows warn and stay NaN.
+    The beta axis is taken in chunks, each with one _trig of its angles, and
+    reduce_row(factor, n_in, trig) gives one value per beta for each compatible
+    m row of input n_in, holding reduce_bytes (see _beta_chunk, checked before
+    anything is allocated).  Other rows warn and stay NaN.
 
-    reduce_row must be invariant under reversing the column: the reversal
-    R: n -> total - n gives c(pi - beta) = +-R c(beta), the reflection
-    d^j_{m'm}(pi - beta) = (-1)^{j+m'} d^j_{m',-m}(beta), and both products
-    keep it (TestMirror in tests/test_phase.py and tests/test_protocol.py
-    derive each).  So a beta above pi/2 whose mirror pi - beta is on the
-    axis (_mirror_pairs) is neither rotated nor reduced: its cells are
-    copied from its partner's.  An axis without such pairs rotates every beta.
+    reduce_row's values must not change under beta -> pi - beta: the
+    reflection d^j_{m'm}(pi - beta) = (-1)^{j+m'} d^j_{m',-m}(beta) reverses
+    the rotation column, and both products keep it (TestMirror in
+    tests/test_phase.py and tests/test_protocol.py).  So a beta above pi/2
+    whose mirror is on the axis (_mirror_pairs) is not reduced: its cells are
+    copied from its partner's.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)
@@ -325,12 +327,13 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
         raise ValueError("axes must be finite")
     if np.any(beta_axis < 0.0) or np.any(beta_axis > np.pi):
         raise ValueError("beta axis must lie in [0, pi]")
-    # the pairing, at most 5 times the axis the caller holds, is the one thing made before the check
-    rotated, paired, partner = _mirror_pairs(beta_axis)
-    chunk = _beta_chunk(total, len(beta_axis), len(m_axis), reduce_bytes, len(rotated))
+    n_beta, n_m = len(beta_axis), len(m_axis)
+    _beta_chunk(total, n_beta, n_m, reduce_bytes, 0)  # a refusal, before the pairing is made
+    computed, paired, partner = _mirror_pairs(beta_axis)
+    chunk = _beta_chunk(total, n_beta, n_m, reduce_bytes, len(computed))
 
     factor = _factor(total)
-    values = np.full((len(m_axis), len(beta_axis)), np.nan)
+    values = np.full((n_m, n_beta), np.nan)
     rows = []
     for i, m in enumerate(m_axis):
         split = split_total(total, m)
@@ -338,11 +341,11 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
             warnings.warn(f"m={m:g} incompatible with total={total}; row marked invalid")
         else:
             rows.append((i, split[0]))
-    for k in range(0, len(rotated), chunk):
-        cols = rotated[k:k + chunk]
+    for k in range(0, len(computed), chunk):
+        cols = computed[k:k + chunk]
         trig = _trig(factor, beta_axis[cols])  # one cosine and sine for every row
         for i, n_in in rows:
-            values[i, cols] = reduce_row(_rotate(factor, n_in, trig))
+            values[i, cols] = reduce_row(factor, n_in, trig)
     for i, _ in rows:  # row by row, so the copy holds at most one row's partners
         values[i, paired] = values[i, partner]
     return FidelityGrid(beta_axis, m_axis, values, total, label)
@@ -352,9 +355,9 @@ def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> Fidel
     """Average fidelity over a (beta, m) grid at fixed total photon number.
 
     Each cell sums p f over every outcome, as average_fidelity does, but
-    reads it as the rotation column's power spectrum weighted by a kernel of
-    the target alone (_spectral_weights); cells whose m is incompatible with
-    the total are reported with a warning and filled with NaN.
+    reads it as a quadratic form in the modes of the grid's factor, with two
+    kernels built once per sweep (_sweep_route); cells whose m is
+    incompatible with the total are reported with a warning and filled with NaN.
     """
     return _grid(total, beta_axis, m_axis, *_sweep_route(target, total), target.label)
 

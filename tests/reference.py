@@ -6,7 +6,8 @@ explicit factorial sum, the outcome probability and conditional fidelity
 as literal sums over photon numbers, and the phase-difference density as
 a direct Fourier sum at one reading.  The point solve is checked against
 its earlier route: the eigenvector found by bisection for its eigenvalue,
-its sign by a literal loop over the Sturm pivots.
+its sign by a literal loop over the Sturm pivots.  The grid CSV is written
+one "%.17g" call per number.
 """
 
 from __future__ import annotations
@@ -159,3 +160,12 @@ def joint_phase_prob(resource: ResourceCoeffs, phi_minus: float) -> float:
     n = np.arange(resource.total + 1)
     z = complex(np.dot(np.exp(1j * phi_minus * n), _I_POW[n % 4] * resource.coeffs))
     return z.real * z.real + z.imag * z.imag
+
+
+def grid_csv_per_cell(beta_axis, m_axis, values) -> bytes:
+    """The grid CSV with one "%.17g" line per cell, beta fastest within each m."""
+    lines = ["beta,m,value"]
+    for i, m in enumerate(m_axis):
+        for k, beta in enumerate(beta_axis):
+            lines.append("%.17g,%.17g,%.17g" % (beta, m, values[i][k]))
+    return ("\n".join(lines) + "\n").encode("ascii")

@@ -16,6 +16,7 @@ from bsteleport.gridio import (
     grid_to_pgm_bytes,
 )
 from bsteleport.protocol import FidelityGrid, OutcomeDistribution
+from reference import grid_csv_per_cell
 
 
 def _tiny_grid(values) -> FidelityGrid:
@@ -48,20 +49,27 @@ class TestGridCsv:
         assert grid_to_csv_bytes(grid) == grid_to_csv_bytes(grid)
 
     def test_matches_a_per_cell_loop(self):
-        # a NaN row, signed zeros, a subnormal, infinities and odd axis values,
-        # against one literal "%.17g" line per cell
-        beta_axis = np.array([0.0, 1e-320, math.pi / 3, -0.0])
-        m_axis = np.array([-1.5, 0.0, 2.0])
-        values = np.array([[np.nan] * 4,
-                           [-0.0, 5e-324, 1.0 / 3.0, np.inf],
-                           [0.0, -2.5e-310, -np.inf, 0.1]])
+        # a NaN row, signed zeros, subnormals, infinities, the largest magnitudes and
+        # odd axis values, against one literal "%.17g" line per cell
+        beta_axis = np.array([0.0, 1e-320, math.pi / 3, -0.0, 1e308])
+        m_axis = np.array([-1.5, 0.0, 2.0, -1e308])
+        values = np.array([[np.nan] * 5,
+                           [-0.0, 5e-324, 1.0 / 3.0, np.inf, 1e308],
+                           [0.0, -2.5e-310, -np.inf, 0.1, -1e308],
+                           [np.finfo(float).max, np.finfo(float).tiny, -5e-324, 1e-308, np.nan]])
         grid = FidelityGrid(beta_axis, m_axis, values, 4, "test")
-        lines = ["beta,m,value"]
-        for i in range(len(m_axis)):
-            for k in range(len(beta_axis)):
-                lines.append("%.17g,%.17g,%.17g" % (beta_axis[k], m_axis[i], values[i, k]))
-        assert grid_to_csv_bytes(grid) == ("\n".join(lines) + "\n").encode("ascii")
+        assert grid_to_csv_bytes(grid) == grid_csv_per_cell(beta_axis, m_axis, values)
         assert b"nan" in grid_to_csv_bytes(grid) and b",-0\n" in grid_to_csv_bytes(grid)
+
+    def test_figure_grid_matches_a_per_cell_loop(self):
+        # the fig-2 shape, 101 betas by 51 rows, with NaN rows and random magnitudes
+        rng = np.random.default_rng(2)
+        beta_axis = np.pi * np.arange(1, 102) / 102
+        m_axis = np.arange(51.0) - 0.5 * (np.arange(51) % 3 == 1)
+        values = rng.uniform(-1.0, 1.0, (51, 101)) * 10.0 ** rng.integers(-320, 309, (51, 101))
+        values[::7] = np.nan
+        grid = FidelityGrid(beta_axis, m_axis, values, 100, "test")
+        assert grid_to_csv_bytes(grid) == grid_csv_per_cell(beta_axis, m_axis, values)
 
 
 class TestGridPgm:

@@ -22,7 +22,6 @@ from bsteleport import numerics, phase, protocol
 from bsteleport.phase import phase_argmax, phase_argmax_map
 from bsteleport.protocol import fidelity_sweep
 from bsteleport.states import ResourceParams, cat_coeffs, fock_coeffs, resource_coeffs, suggest_cutoff
-from routes import rotated_column
 
 FIG_BETAS = np.pi * np.arange(1, 102) / 102
 FIG_MS = np.arange(51.0)
@@ -145,27 +144,47 @@ REDUCTIONS = {
     "total-1000": (1000, 29, lambda: cat_coeffs(3.0, suggest_cutoff(3.0))),
     "total-1000-one-beta": (1000, 1, lambda: cat_coeffs(3.0, suggest_cutoff(3.0))),
     "cutoff-4096-total-1000": (1000, 29, lambda: fock_coeffs(0, 4096)),
+    "total-2001": (2001, 29, lambda: cat_coeffs(3.0, suggest_cutoff(3.0))),
+    "cutoff-4096-total-2000": (2000, 1, lambda: fock_coeffs(0, 4096)),
 }
 
 
 @pytest.mark.parametrize("case", REDUCTIONS)
 def test_sweep_reduction_count_bounds_its_peak(case):
-    # the sweep's spectral reduction alone against its own count, per column, per
-    # chunk and for the build, at its first call, which builds the weights the sweep
-    # keeps; a first route fills numpy's caches
+    # the sweep's reduction of one row with its chunk's trig against its own count, per
+    # beta sample and for the build, at its first call, which builds the two kernels the
+    # sweep keeps; the factor is made before, as the grid makes it
     total, n_beta, make_target = REDUCTIONS[case]
     target = make_target()
-    reduce, (per_column, per_chunk, build) = protocol._sweep_route(target, total)
-    column = rotated_column(numerics._factor(total), total // 2, np.linspace(0.1, 3.0, n_beta))
-    protocol._sweep_route(target, total)[0](column)
+    reduce_row, (per_beta, per_chunk, build) = protocol._sweep_route(target, total)
+    factor = numerics._factor(total)
+    betas = np.linspace(0.1, 3.0, n_beta)
+    protocol._sweep_route(target, total)[0](factor, total // 2, numerics._trig(factor, betas))  # fills numpy's caches
     tracemalloc.start()
     try:
-        reduce(column)
+        reduce_row(factor, total // 2, numerics._trig(factor, betas))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the count charges numpy's FFT plan and scratch per chunk; they lie outside
-    # tracemalloc, and at these lengths the resident high-water mark does not see them
-    n = protocol._spectral_length(total + 1, len(target.coeffs))
-    need = n_beta * per_column + per_chunk + build - numerics._fft_bytes(n)
+    need = n_beta * per_beta + per_chunk + build
     assert peak <= need <= 2 * peak, (need, peak)
+
+
+@pytest.mark.parametrize("grid", [
+    lambda beta_axis: phase_argmax_map(2, beta_axis, [0.0, 1.0], 16),
+    lambda beta_axis: fidelity_sweep(cat_coeffs(3.0, suggest_cutoff(3.0)), 2, beta_axis, [0.0, 1.0]),
+], ids=["phase-map", "sweep"])
+def test_refused_grid_holds_less_than_the_limit(grid, monkeypatch):
+    # a grid whose axis lengths alone exceed the limit is refused before the beta axis
+    # is sorted and paired with its mirrors, which holds up to 40 bytes per beta
+    # sample: this call once held 29.5 MB under a 10 MiB limit before it was refused
+    monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 10 << 20)
+    beta_axis = np.linspace(0.0, np.pi, 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MiB limit"):
+            grid(beta_axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < numerics.MAX_GRID_BYTES, peak

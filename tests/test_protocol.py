@@ -414,8 +414,8 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too: 1244 bytes for the
-        # total-2 grid of one beta by one m, 1364 for three betas by two in
+        # the budget counts beta samples and m rows too: 1192 bytes for the
+        # total-2 grid of one beta by one m, 1312 for three betas by two in
         # chunks of one beta
         monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1304)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
@@ -431,81 +431,89 @@ class TestFidelitySweep:
         beta_axis = np.pi * np.arange(1, 8) / 8.0
         whole = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
         per_beta, per_chunk, _ = reduce_bytes = protocol._sweep_route(target, 8)[1]
-        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * (numerics._rotation_bytes(8) + per_beta) + per_chunk)
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * per_beta + per_chunk)
         assert protocol._beta_chunk(8, len(beta_axis), 2, reduce_bytes) == 3
         chunked = fidelity_sweep(target, 8, beta_axis, [0.0, 3.0])
         assert np.max(np.abs(whole.values - chunked.values)) < 1e-14
 
     def test_weight_build_leaves_the_chunk_as_it_is(self):
-        # building 2^17 + 1 weights holds ~3 MiB once; counted against the chunk's room it
-        # cut the fig-2 axes to 1-beta chunks, which ran 8x slower
-        reduce_bytes = protocol._sweep_route(fock_coeffs(0, 2**17), 100)[1]
-        assert reduce_bytes[2] > protocol._CHUNK_BYTES
-        assert protocol._beta_chunk(100, 101, 51, reduce_bytes) == 101
+        # building the lags of 2^17 + 1 weights holds ~2 MiB once, and the two kernels at
+        # total 1000 ~4 MB; counted against the chunk's room they cut the axis to 1-beta
+        # chunks, which ran 8x slower on the fig-2 axes
+        for target, total in ((fock_coeffs(0, 2**17), 100), (cat_coeffs(3.0, suggest_cutoff(3.0)), 1000)):
+            reduce_bytes = protocol._sweep_route(target, total)[1]
+            assert reduce_bytes[2] > 0.75 * protocol._CHUNK_BYTES
+            assert protocol._beta_chunk(total, 101, 51, reduce_bytes) == 101
 
 
-# target, total and betas of the sweep's spectral reduction against the point route;
-# at total 40 and 63 the transform length is dim + k_max itself, odd (77) and even (100)
+# target, total and betas of the sweep's reduction against the point route: odd and even
+# totals, and weights beyond the sector, where A_p is dense
 SWEEP_REDUCTIONS = {
     "total-0": (fock_coeffs(0, 3), 0, [0.5, 2.0]),
     "one-weight": (fock_coeffs(0, 0), 9, [0.3, math.pi / 2]),
     "weights-beyond-the-sector": (fock_coeffs(0, 4096), 40, [0.4, 2.5]),
+    "weights-beyond-the-sector-odd": (coherent_coeffs(1.5 + 0.7j, 300), 37, [0.4, 1.9, 2.5]),
     "total-1000": (cat_coeffs(3.0, suggest_cutoff(3.0)), 1000, [0.2, 1.3, 2.9]),
     "coherent": (coherent_coeffs(2.0, 40), 30, [0.7, math.pi / 2, 2.2]),
     "delta-columns": (cat_coeffs(2.0, 25), 20, [0.0, math.pi]),
+    "odd-total": (cat_coeffs(3.0, suggest_cutoff(3.0)), 101, [0.3, 1.6, 2.8]),
+    "even-total": (cat_coeffs(3.0, suggest_cutoff(3.0)), 100, [0.3, 1.6, 2.8]),
     "odd-length-exact": (cat_coeffs(3.0, suggest_cutoff(3.0)), 40, [0.3, 1.6, 2.8]),
     "even-length-exact": (cat_coeffs(3.0, suggest_cutoff(3.0)), 63, [0.3, 1.6, 2.8]),
 }
 
 
-def _spectral_cells(target: TargetCoeffs, column: np.ndarray) -> np.ndarray:
-    """The sweep's cells for real columns: their power spectrum weighted by the target's kernel."""
-    n, h = protocol._spectral_weights(protocol._abs2(target.coeffs), column.shape[-1])
-    return numerics._half_profile(column, n) @ h
+def _swept(target: TargetCoeffs, factor, n_in: int, betas, reduce_row=None) -> np.ndarray:
+    """The sweep's cells of the row of input n_in: its quadratic form in the factor's modes."""
+    reduce_row = reduce_row or protocol._sweep_route(target, len(factor[1]) - 1)[0]
+    return reduce_row(factor, n_in, numerics._trig(factor, np.asarray(betas, dtype=float)))
 
 
 class TestSweepReduction:
     @pytest.mark.parametrize("target, total, betas", SWEEP_REDUCTIONS.values(), ids=SWEEP_REDUCTIONS)
     def test_band_products_match_the_convolution(self, target, total, betas):
-        # the sweep's cells, the column's power spectrum weighted by the kernel of
-        # protocol._spectral_weights, against the sum of the points' np.convolve of
-        # the complex resource over every outcome, on the same columns; measured
-        # at most 4.4e-16
+        # the sweep's cells, x K_p x + y K_q y with each kernel built from A_p's band,
+        # against the sum of the points' np.convolve of the complex resource over
+        # every outcome, on the grid kernel's columns; measured at most 4.4e-16
         factor = _factor(total)
         for n_in in sorted({0, 1, total // 3, total // 2, total - 1, total} & set(range(total + 1))):
             column = rotated_column(factor, n_in, np.array(betas))
-            cells = _spectral_cells(target, column)
+            cells = _swept(target, factor, n_in, betas)
             want = protocol._outcomes(target, _resource(column, n_in))[1].sum(-1)
             assert cells.shape == want.shape == (len(betas),)
             assert np.max(np.abs(cells - want)) <= 2e-15
 
-    def test_transform_length(self):
-        # the first length from dim + k_max, k_max = min(dim, len(w)) - 1, with no prime factor above 11
-        cat = protocol._abs2(cat_coeffs(3.0, suggest_cutoff(3.0)).coeffs)
-        assert len(cat) == 37
-        assert protocol._spectral_weights(cat, 41)[0] == 77
-        assert protocol._spectral_weights(cat, 64)[0] == 100
-        # 201 = 3 * 67 through 209 = 11 * 19 each have a prime factor above 11
-        assert protocol._spectral_weights(np.ones(4097), 101)[0] == 210
-
     @pytest.mark.parametrize("total", [1, 40, 101])
-    def test_rows_of_both_parities_reduce_in_one_stack(self, total):
-        """One call on a stack of rows from inputs of both parities gives each row's own cells.
+    def test_rows_of_both_parities_share_one_build(self, total, monkeypatch):
+        """One reducer serves rows of either input parity, in any order, from one build of K_0 and K_1.
 
-        The cell is c^T M c for the real column c alone (see TestMirror), so no
-        row's n_in enters the reduction.
+        A row of even input reads K_0 for its cosine part and K_1 for its sine
+        part, an odd one the other way round.
         """
         target = cat_coeffs(3.0, suggest_cutoff(3.0))
         factor = _factor(total)
         betas = np.array([0.0, 0.3, math.pi / 2, 2.6, math.pi])
-        n_ins = (total // 2, total // 2 + 1)
-        stack = np.stack([rotated_column(factor, n_in, betas) for n_in in n_ins])
-        cells = _spectral_cells(target, stack)
-        assert cells.shape == (2, len(betas))
-        for i, n_in in enumerate(n_ins):
-            want = protocol._outcomes(target, _resource(stack[i], n_in))[1].sum(-1)
-            assert np.max(np.abs(cells[i] - _spectral_cells(target, stack[i]))) <= 2e-15
-            assert np.max(np.abs(cells[i] - want)) <= 2e-15
+        builds = []
+        build = protocol._sweep_kernel
+        monkeypatch.setattr(protocol, "_sweep_kernel", lambda lags, v: builds.append(len(v)) or build(lags, v))
+        reduce_row = protocol._sweep_route(target, total)[0]
+        for n_in in (total // 2 + 1, total // 2, total // 2 + 1):
+            want = protocol._outcomes(target, _resource(rotated_column(factor, n_in, betas), n_in))[1].sum(-1)
+            assert np.max(np.abs(_swept(target, factor, n_in, betas, reduce_row) - want)) <= 2e-15
+        assert builds == [(total + 2) // 2, (total + 1) // 2]
+
+    def test_banded_kernel_matches_the_dense_toeplitz(self):
+        # blocks of A's band against the dense matrix, across block edges and for a
+        # band wider than the matrix
+        rng = np.random.default_rng(5)
+        for n, n_lags in ((300, 7), (300, 200), (130, 400), (5, 1), (0, 3)):
+            v = rng.normal(size=(n, 9))
+            lags = rng.normal(size=n_lags)
+            dense = np.zeros(max(n, 1))
+            dense[:min(n, n_lags)] = lags[:n]
+            a = dense[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+            want = v.T @ a @ v
+            assert np.max(np.abs(protocol._sweep_kernel(lags, v) - want)) <= 1e-14 * np.max(np.abs(want), initial=1.0)
 
 
 class TestMirror:
@@ -551,7 +559,7 @@ class TestMirror:
 
 
 class TestMirrorPairs:
-    """The grid driver rotates one beta of each pair beta, pi - beta on its axis and copies the other's cells.
+    """The grid driver computes one beta of each pair beta, pi - beta on its axis and copies the other's cells.
 
     TestMirror shows that both products are invariant under the mirror; these
     check which betas are rotated and that every cell lands where it belongs.
@@ -581,16 +589,15 @@ class TestMirrorPairs:
 
     def test_axis_without_pairs_rotates_every_beta(self, monkeypatch):
         # no beta above pi/2 has its mirror on this axis, so each cell is the
-        # reduction of the grid kernel's own column, bit for bit
+        # row's reduction at its own beta, bit for bit
         beta_axis = np.concatenate([np.linspace(0.1, 1.4, 13), [2.0, 2.9]])
         assert [len(part) for part in protocol._mirror_pairs(beta_axis)] == [15, 0, 0]
         sweep, phase_map = self._grids(beta_axis)
-        sweep_row = protocol._sweep_route(self.TARGET, self.TOTAL)[0]
         map_profile = phase._map_route(self.TOTAL, 64)[0]
         factor = _factor(self.TOTAL)
         for i, m in enumerate(self.M_AXIS):
             column = rotated_column(factor, self.TOTAL // 2 + int(m), beta_axis)
-            assert np.array_equal(sweep[i], sweep_row(column))
+            assert np.array_equal(sweep[i], _swept(self.TARGET, factor, self.TOTAL // 2 + int(m), beta_axis))
             assert np.array_equal(phase_map[i], phase._peak(map_profile(column), 64)[0])
         assert len(self._rotated_betas(monkeypatch, beta_axis)) == 2 * 15
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from bsteleport import numerics
+from bsteleport import numerics, protocol
 from bsteleport.cli import OUT_DIR_ENV, main
+from bsteleport.states import cat_coeffs, suggest_cutoff
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a number as the CLI prints it, nan included
@@ -46,9 +47,16 @@ class _Accepted(Exception):
     """A request passed the budget check; raised before anything is allocated."""
 
 
+def _fig2_sweep_size(total: int) -> None:
+    # the size check of a one-cell sweep of the fig-2 target allocates nothing, so it runs to its end
+    protocol.check_sweep_size(cat_coeffs(3.0, suggest_cutoff(3.0)), total, 1, 1)
+    raise _Accepted
+
+
 @pytest.mark.parametrize("phrase, route", [
     (r"A total whose point\s+would exceed", lambda total: numerics._column(total, 0, 1.0)),
     (r"a grid factor", numerics._factor),
+    (r"a sweep of the fig-2 target", _fig2_sweep_size),
 ])
 def test_stated_limit_is_the_largest_total_accepted(phrase, route, monkeypatch):
     # the total after "any total above" in the sentence that names the route
