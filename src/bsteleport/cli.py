@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -110,6 +110,7 @@ def _add_output_options(sub, csv_default=None, pgm_default=None) -> None:
         sub.add_argument("--pgm", default=pgm_default, help="PGM image output path (default %(default)s)")
 
 
+@cache  # built at the first main() call and reused: parsing leaves the tree as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bsteleport",
                      description="Teleportation statistics for Fock states entangled at a beam splitter")
@@ -196,10 +197,13 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _write(args, outputs: list[tuple[str, bytes]]) -> None:
-    """Write every (name, data) file or none, relative names under the output directory, then report them all."""
-    base = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    files = [(os.path.join(base, name), data) for name, data in outputs]  # an absolute name is kept as given
+def _out_path(args, name: str) -> str:
+    """A relative name under the output directory; an absolute name is kept as given."""
+    return os.path.join(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".", name)
+
+
+def _write(files: list[tuple[str, bytes]]) -> None:
+    """Write every (path, data) file or none, then report them all."""
     atomic_write_files(files)
     for path, _ in files:
         print(f"wrote {path}")
@@ -207,7 +211,7 @@ def _write(args, outputs: list[tuple[str, bytes]]) -> None:
 
 def _emit(args, data: bytes) -> None:
     if args.csv:
-        _write(args, [(args.csv, data)])
+        _write([(_out_path(args, args.csv), data)])
     else:
         sys.stdout.write(data.decode("ascii"))
 
@@ -298,7 +302,11 @@ def _grid_inputs(args, check_size) -> tuple[int, np.ndarray, np.ndarray]:
     """Total, beta axis and m axis of a grid command.
 
     check_size(total, n_beta, n_m) refuses too large a grid before the axes are built.
+    A CSV and PGM path naming one file are refused first: the PGM would replace the CSV.
     """
+    csv, pgm = _out_path(args, args.csv), _out_path(args, args.pgm)
+    if os.path.realpath(csv) == os.path.realpath(pgm):
+        raise ValueError(f"--csv and --pgm name the same file: {csv}")
     if args.total is None:
         raise ValueError("--total is required")
     if args.total < 0:
@@ -315,8 +323,8 @@ def _grid_inputs(args, check_size) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _write_grid(args, grid, scale: float) -> int:
     """Write a grid command's CSV and PGM, then print their paths and the grid maximum."""
-    _write(args, [(args.csv, grid_to_csv_bytes(grid)),
-                  (args.pgm, grid_to_pgm_bytes(grid, scale=scale))])
+    _write([(_out_path(args, args.csv), grid_to_csv_bytes(grid)),
+            (_out_path(args, args.pgm), grid_to_pgm_bytes(grid, scale=scale))])
     finite = np.isfinite(grid.values)
     if not finite.any():
         print("no valid cells")

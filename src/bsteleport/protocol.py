@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import _check_budget, _check_integer, _factor, _factor_bytes, _trig
+from .numerics import _check_budget, _check_integer, _factor_bytes, _trig
 from .states import ResourceCoeffs, ResourceParams, TargetCoeffs
 
 # conditional quantities are undefined for outcomes of probability at or below this
@@ -265,15 +265,16 @@ def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int,
     """Beta samples per chunk of a grid row, refusing a grid over MAX_GRID_BYTES before allocating.
 
     reduce_bytes: what a row's reduction holds per beta sample (the chunk's _trig included),
-    once per chunk, and once per grid for what it builds.  The need is the factor, the output
-    and the mirror's pairing over all n_beta samples, the build and a chunk of the n_computed
-    samples computed (_mirror_pairs; by default all).  A chunk fills _CHUNK_BYTES or, if less,
-    what the limit leaves, one sample at least, so the axis lengths alone decide a refusal:
-    n_computed=0 only refuses, passing no need otherwise.
+    once per chunk, and once per grid for what it builds.  The need is the factor unless it is
+    kept (_grid_factor), the output and the mirror's pairing over all n_beta samples, the build
+    and a chunk of the n_computed samples computed (_mirror_pairs; by default all).  A chunk
+    fills _CHUNK_BYTES or, if less, what the limit leaves, one sample at least, so the axis
+    lengths alone decide a refusal: n_computed=0 only refuses, passing no need otherwise.
     """
     _check_integer("total", total)
     per_beta, per_chunk, build = reduce_bytes
-    fixed = _factor_bytes(total) + (8 * n_m + _MIRROR_BYTES) * n_beta + per_chunk + build
+    factor = 0 if _kept(total) is not None else _factor_bytes(total)  # a call counts the factor it builds
+    fixed = factor + (8 * n_m + _MIRROR_BYTES) * n_beta + per_chunk + build
     # per_chunk counts against _CHUNK_BYTES, as an operand every product reads (the phase map's
     # cosine table) must stay in cache beside the chunk: fig-3 in 50-beta chunks sized without
     # it ran ~2x slower than in 35 (2 cores, one BLAS thread); a build, held once, does not
@@ -304,8 +305,33 @@ def _mirror_pairs(beta_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return np.flatnonzero(computed), paired, order[pos[found]]
 
 
+# (total, factor) of the last grid whose factor takes at most _CHUNK_BYTES (totals up to 797),
+# its arrays read-only: the next sweep or map at that total builds none (_grid_factor)
+_kept_factor = None
+
+
+def _kept(total: int):
+    """The kept grid factor if it is total's, else None."""
+    kept = _kept_factor
+    return kept[1] if kept is not None and kept[0] == total else None
+
+
+def _grid_factor(total: int) -> tuple[np.ndarray, np.ndarray]:
+    """numerics._factor(total), kept read-only for the next grid at this total while it takes at most _CHUNK_BYTES."""
+    global _kept_factor
+    factor = _kept(total)
+    if factor is None:
+        _kept_factor = None  # emptied before the build, so a call never holds two factors
+        factor = numerics._factor(total)
+        if _factor_bytes(total) <= _CHUNK_BYTES:
+            for part in factor:
+                part.setflags(write=False)
+            _kept_factor = total, factor
+    return factor
+
+
 def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, int, int], label: str) -> FidelityGrid:
-    """One value per (m, beta) at fixed total, from one factor of the sector generator.
+    """One value per (m, beta) at fixed total, from one factor of the sector generator (_grid_factor).
 
     The beta axis is taken in chunks, each with one _trig of its angles, and
     reduce_row(factor, n_in, trig) gives one value per beta for each compatible
@@ -332,7 +358,7 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
     computed, paired, partner = _mirror_pairs(beta_axis)
     chunk = _beta_chunk(total, n_beta, n_m, reduce_bytes, len(computed))
 
-    factor = _factor(total)
+    factor = _grid_factor(total)
     values = np.full((n_m, n_beta), np.nan)
     rows = []
     for i, m in enumerate(m_axis):

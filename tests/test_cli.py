@@ -4,6 +4,9 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,9 @@ REFUSALS = [
       "--csv", "blocker/s.csv"], 3, 1),
     (["resource", "--n-in", "1", "--m-in", "0", "--beta", "-1e-3"], 1, 0),
     (["sweep", "--target", "fock", "--total", "1000000000000000000"], 1, 0),
+    # one file named twice, which would hold only the PGM
+    (["sweep", "--target", "fock", "--total", "4", "--beta-steps", "2", "--csv", "same.out", "--pgm", "same.out"], 1, 0),
+    (["phase-map", "--total", "4", "--beta-steps", "2", "--out-dir", "out", "--csv", "map", "--pgm", "./map"], 1, 0),
 ]
 
 
@@ -577,3 +583,65 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--max-total", "1", "--tol", "0", "--verbose"]) == 2
         lines = capsys.readouterr().out.strip().split("\n")
         assert sum(line.startswith("FAIL n_in=") for line in lines) == 15
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(directory)): path.read_bytes() for path in sorted(directory.rglob("*"))
+            if path.is_file()}
+
+
+class TestOneProcess:
+    """main() builds its parser once per process; no call leaves anything for the next."""
+
+    @staticmethod
+    def _env(**extra) -> dict[str, str]:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != cli.OUT_DIR_ENV}
+        return {**env, "PYTHONPATH": os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])]), **extra}
+
+    def test_nothing_is_built_at_import(self):
+        run = subprocess.run([sys.executable, "-c", "import bsteleport.cli as cli; "
+                              "print(cli._build_parser.cache_info().currsize)"],
+                             capture_output=True, text=True, check=True, env=self._env())
+        assert run.stdout == "0\n"
+
+    def test_calls_match_a_fresh_interpreter(self, tmp_path, capsys, monkeypatch):
+        # each call's exit code, stdout, stderr and files, against the same argv run alone
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 2.0\ntotal = 4\nm = 0\n")
+        calls = [
+            (["fidelity", "--total", "3", "--m", "0.25"], {}),
+            (["fidelity", "--config", str(config)], {}),
+            (["fidelity", "--total", "4", "--m", "0"], {}),  # the parser's default alpha, not the config's
+            (["sweep", "--help"], {}),
+            (["sweep", "--total", "4", "--beta-steps", "3", "--out-dir", "out"], {}),
+            (["phase-map", "--total", "5", "--beta-steps", "3"], {cli.OUT_DIR_ENV: "env"}),
+        ]
+        monkeypatch.setenv("COLUMNS", "100")  # the help's width, here and in the fresh interpreters
+        monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+        (tmp_path / "fresh").mkdir()
+        fresh = []
+        for argv, env in calls:
+            run = subprocess.run([sys.executable, "-m", "bsteleport.cli", *argv], cwd=tmp_path / "fresh",
+                                 capture_output=True, text=True, env=self._env(**env))
+            fresh.append((run.returncode, run.stdout, run.stderr, _files(tmp_path / "fresh")))
+        (tmp_path / "here").mkdir()
+        monkeypatch.chdir(tmp_path / "here")
+        here = []
+        for argv, env in calls:
+            with monkeypatch.context() as scoped:
+                for key, value in env.items():
+                    scoped.setenv(key, value)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            captured = capsys.readouterr()
+            here.append((code, captured.out, captured.err, _files(tmp_path / "here")))
+        assert [call[0] for call in here] == [1, 0, 0, 0, 0, 0]
+        assert here[1][1] != here[2][1] and "usage:" in here[3][1]
+        assert sorted(here[-1][3]) == ["env/phase_map.csv", "env/phase_map.pgm",
+                                       "out/fidelity_sweep.csv", "out/fidelity_sweep.pgm"]
+        for (argv, _), mine, theirs in zip(calls, here, fresh):
+            assert mine == theirs, argv
+        assert cli._build_parser.cache_info().currsize == 1

@@ -414,15 +414,27 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too: 1192 bytes for the
-        # total-2 grid of one beta by one m, 1312 for three betas by two in
-        # chunks of one beta
+        # the budget counts beta samples and m rows too: 1216 bytes for the
+        # total-2 grid of one beta by one m, 1336 for three betas by two in
+        # chunks of one beta, each with the 816-byte factor it builds
+        needs = []
+        check = protocol._check_budget
+        monkeypatch.setattr(protocol, "_check_budget", lambda need, what: (needs.append(need), check(need, what)))
         monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1304)
+        monkeypatch.setattr(protocol, "_kept_factor", None)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
+        monkeypatch.setattr(protocol, "_kept_factor", None)
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])
+        monkeypatch.setattr(protocol, "_kept_factor", None)
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             protocol.check_sweep_size(fock_coeffs(0, 0), 2, 3, 2)
+        assert needs == [1216, 1336, 1336]
+        # after a grid at total 2 the factor is kept, and the same grid builds none
+        fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
+        fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
+        assert needs[-2:] == [1216, 1216 - 816] and numerics._factor_bytes(2) == 816
+        fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])  # refused above, fits now
 
     def test_beta_chunks_agree_with_one_block(self, monkeypatch):
         # a long beta axis is rotated and reduced in chunks; the chunk width
@@ -643,3 +655,72 @@ class TestMirrorPairs:
             assert np.max(np.abs(sweep[:, k] - alone[0][:, 0])) <= 1e-14
             assert np.array_equal(phase_map[:, k], alone[1][:, 0])
         assert len(self._rotated_betas(monkeypatch, beta_axis)) == 2 * 4
+
+
+class TestKeptFactor:
+    """One read-only grid factor, of the last total whose factor fits _CHUNK_BYTES, serves the next grid at that total."""
+
+    TARGET = cat_coeffs(1.0, 6, tail_tol=1e-4)
+    BETAS = np.pi * np.arange(1, 8) / 8.0
+
+    def _grids(self, total):
+        ms = np.arange(total % 2 / 2, 3)
+        return (fidelity_sweep(self.TARGET, total, self.BETAS, ms).values,
+                phase_argmax_map(total, self.BETAS, ms, grid_size=64).values)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Totals numerics._factor is called for; at each call the slot is already empty."""
+        totals = []
+        factor = numerics._factor
+
+        def spy(total):
+            assert protocol._kept_factor is None
+            totals.append(total)
+            return factor(total)
+
+        monkeypatch.setattr(numerics, "_factor", spy)
+        monkeypatch.setattr(protocol, "_kept_factor", None)
+        return totals
+
+    def test_a_total_is_factored_once(self, built):
+        for _ in range(2):
+            self._grids(10)
+        assert built == [10]
+        self._grids(11)
+        assert built == [10, 11] and protocol._kept_factor[0] == 11
+        self._grids(10)
+        assert built == [10, 11, 10]
+
+    def test_its_arrays_are_read_only(self, built):
+        fidelity_sweep(self.TARGET, 10, self.BETAS, [0.0])
+        w, v = protocol._kept_factor[1]
+        for write in (lambda: w.__setitem__(0, 1.0), lambda: v.__setitem__((0, 0), 1.0), lambda: v.__imul__(2.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+
+    def test_warm_grids_equal_cold_ones_bit_for_bit(self, built):
+        for total in (10, 11):
+            cold = self._grids(total)
+            warm = self._grids(total)
+            assert built[-1] == total and len(built) == 1 + (total == 11)
+            for a, b in zip(cold, warm):
+                assert a.tobytes() == b.tobytes()
+
+    def test_only_a_factor_within_the_chunk_bytes_is_kept(self, built):
+        assert numerics._factor_bytes(797) <= protocol._CHUNK_BYTES < numerics._factor_bytes(798)
+        assert numerics._factor_bytes(1000) == 4_268_264
+        phase_argmax_map(1000, [0.5], [0.0], grid_size=16)
+        phase_argmax_map(1000, [0.5], [0.0], grid_size=16)
+        assert built == [1000, 1000] and protocol._kept_factor is None
+
+    def test_a_lapack_failure_keeps_nothing(self, built, monkeypatch):
+        fidelity_sweep(self.TARGET, 10, self.BETAS, [0.0])
+        stein = numerics._STEIN
+        with monkeypatch.context() as failing:
+            failing.setattr(numerics, "_STEIN", lambda *args: (stein(*args)[0], 1))
+            with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+                phase_argmax_map(12, self.BETAS, [0.0], grid_size=64)
+            assert protocol._kept_factor is None
+        assert phase_argmax_map(12, self.BETAS, [0.0], grid_size=64).total == 12
+        assert built == [10, 12, 12] and protocol._kept_factor[0] == 12
