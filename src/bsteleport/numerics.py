@@ -7,8 +7,8 @@ solves for its one column, an eigenvector of the rotated generator (_column),
 in O(j) time and memory.  A grid solves once for the generator's eigenvectors
 of eigenvalue >= 0 (_factor), takes the cosine and sine of each block of
 angles once (_trig); the phase map rotates its columns from those (_rotate)
-and reads their power spectrum (_half_profile), the fidelity sweep reads
-the modes (protocol._sweep_route).  Half-integers are carried doubled.
+and finds their profile's maximum (phase._map_route), the fidelity sweep
+reads the modes (protocol._sweep_route).  Half-integers are carried doubled.
 """
 
 from __future__ import annotations
@@ -167,30 +167,18 @@ def _rotate(factor: tuple[np.ndarray, np.ndarray], col: int, trig) -> np.ndarray
     return out
 
 
-def _smooth(n: int) -> bool:
-    """Whether n has no prime factor above 11, the radices of numpy's FFT."""
-    for p in (2, 3, 5, 7, 11):
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
-def _smooth_length(least: int) -> int:
-    """The first transform length from `least` with no prime factor above 11 (202 = 2 * 101 ran 5x slower than 210)."""
-    n = least
-    while not _smooth(n):
-        n += 1
-    return n
-
-
 def _fft_bytes(grid_size: int) -> int:
     """Bytes numpy's FFT allocates itself, outside its output, for one transform of K points.
 
     Its plan and scratch take 32 bytes per point for a complex transform and 16
-    for a real one.  A K with a prime factor above 11 may instead take
-    Bluestein's transform of about 2K points, which held 128-144 per point.
+    for a real one.  A K with a prime factor above 11, beyond numpy's radices, may
+    instead take Bluestein's transform of about 2K points, which held 128-144 per point.
     """
-    return (32 if _smooth(grid_size) else 160) * grid_size
+    n = grid_size
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return (32 if n == 1 else 160) * grid_size
 
 
 def _folded(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
@@ -199,23 +187,6 @@ def _folded(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
         return coeffs
     coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, -coeffs.shape[-1] % grid_size)])
     return coeffs.reshape(coeffs.shape[:-1] + (-1, grid_size)).sum(axis=-2)
-
-
-def _half_profile_bytes(dim: int, grid_size: int) -> tuple[int, int]:
-    """Bytes _half_profile holds per real column and once per block."""
-    # folding a column longer than K holds at most dim + 2K doubles (a shorter one none); then
-    # each frequency k <= K/2 holds its spectrum and its squared modulus with two temporaries, 40 bytes
-    return 8 * dim * (dim > grid_size) + 40 * (grid_size // 2 + 1), _fft_bytes(grid_size)
-
-
-def _half_profile(column: np.ndarray, grid_size: int) -> np.ndarray:
-    """Power spectrum |C(theta_k)|^2 of real columns at theta_k = 2 pi k / K, k = 0..K//2, one row per column.
-
-    The spectrum of a real column is mirror-symmetric, so this half holds all
-    of it: the phase map's profile.
-    """
-    z = np.fft.rfft(_folded(column, grid_size), n=grid_size, axis=-1)
-    return z.real**2 + z.imag**2
 
 
 def _lapack(routine, *args) -> list:

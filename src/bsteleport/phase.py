@@ -11,18 +11,10 @@ coefficients, so sampling it on a uniform grid of K points is one DFT.
 
 Point readings take the complex inverse FFT of any coefficients.  The
 map's twisted coefficients are a real rotation column times i^{n_in}, so
-it reads the mirror-symmetric profile P(K - k) = P(k) only over
-k = 0..K/2, where it has its first maximum, by one of two routes:
-
-- the FFT route takes one real FFT of length K of the rotation block;
-- the table route, for even K, takes the block's autocorrelation r from
-  two transforms of about twice the column's length, then the cosine
-  polynomial P(k) = sum_l w_l r_l cos(2 pi l k / K) as two real products
-  with one table of w_l cos(2 pi l k / K) over k = 0..K/4, built once
-  per map.
-
-A map takes the table route when the column is short against K and the
-table is small (see _takes_table); both routes give the same cells.
+its profile P(k) = P(K - k) has its first maximum in k = 0..K/2.  The map
+finds it from a coarse FFT and a curvature bound (_bounded_argmax) where
+K has a divisor Kc >= 2D - 1 for D levels at a stride S = K / Kc of at
+least 8 (_coarse_length), else from one real FFT of length K.
 """
 
 from __future__ import annotations
@@ -33,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (_I_POW, _check_budget, _check_integer, _fft_bytes, _folded, _half_profile,
-                       _half_profile_bytes, _rotate, _rotation_bytes, _smooth_length)
+from . import protocol
+from .numerics import _I_POW, _check_budget, _check_integer, _fft_bytes, _folded, _rotate, _rotation_bytes
 from .protocol import FidelityGrid, _beta_chunk, _grid
 from .states import ResourceCoeffs, ResourceParams, resource_coeffs
 
@@ -43,14 +35,12 @@ MIN_PHASE_GRID = 16
 # relative slack when locating the argmax, so flat profiles with float
 # dust still resolve to their first grid point
 _ARGMAX_RTOL = 1e-12
-# the map's table route needs an even K of at least 256, K >= 16 D for a column of
-# D levels and a table of at most 1 MiB.  On maps of 101 betas by D/2 m rows it ran
-# 1.1-5x faster than the FFT inside the rule; it lost up to 25% at K = 16 to 128,
-# and was no faster from D ~ 180 at K = 4096 and D ~ 70 at K = 16384, where the
-# table crowds the betas out of a chunk (2 cores, one BLAS thread)
-_TABLE_MIN_GRID = 256
-_TABLE_RATIO = 16
-_TABLE_MAX_BYTES = 1 << 20
+# the map's bounded route needs K >= 1024 and S >= 8: on maps of 101 betas by all rows it ran 1.2-3.5x
+# as fast as the full FFT there, 0.55-0.92x at K = 512 or S = 4 and 1.0-2.0x at S = 5-7 (one BLAS thread)
+_MIN_BOUNDED_GRID = 1024
+_MIN_STRIDE = 8
+# kept intervals per column that one refinement product takes: fig-3 keeps 3.1 on average
+_REFINED = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,77 +71,120 @@ def _profile_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _takes_table(dim: int, grid_size: int) -> bool:
-    """Whether the map reads its half profile from a cosine table rather than a length-K FFT."""
-    return (grid_size % 2 == 0 and max(_TABLE_MIN_GRID, _TABLE_RATIO * dim) <= grid_size
-            and _table_bytes(dim, grid_size) <= _TABLE_MAX_BYTES)
+def _half_profile_bytes(dim: int, grid_size: int) -> tuple[int, int]:
+    """Bytes _half_profile holds per real column and once per block."""
+    # a fold of a column longer than K (at most dim + 2K doubles), then per k <= K/2 the spectrum,
+    # its modulus and two temporaries, 40 bytes
+    return 8 * dim * (dim > grid_size) + 40 * (grid_size // 2 + 1), _fft_bytes(grid_size)
 
 
-def _table_bytes(dim: int, grid_size: int) -> int:
-    """Bytes of _cosine_table(dim, K)."""
-    return 8 * dim * (grid_size // 4 + 1)
+def _half_profile(column: np.ndarray, grid_size: int) -> np.ndarray:
+    """Power spectrum |C(theta_k)|^2 of real columns at theta_k = 2 pi k / K, k = 0..K//2: the map's whole profile."""
+    z = np.fft.rfft(_folded(column, grid_size), n=grid_size, axis=-1)
+    return z.real**2 + z.imag**2
 
 
-def _cosine_table(dim: int, grid_size: int) -> np.ndarray:
-    """Rows w_l cos(2 pi (l k mod K) / K) over k = 0..K//4, even l first, then odd l; w_0 = 1, else 2."""
-    cos = np.cos(2.0 * np.pi / grid_size * np.arange(grid_size))
-    k = np.arange(grid_size // 4 + 1)
-    table = np.empty((dim, len(k)))
-    for row, lag in enumerate([*range(0, dim, 2), *range(1, dim, 2)]):
-        np.take(cos, lag * k % grid_size, out=table[row])
-    table[1:] *= 2.0
-    return table
+def _bounded_bytes(dim: int, grid_size: int, coarse: int) -> tuple[int, int, int]:
+    """Bytes _bounded_argmax holds per real column, once per chunk, and to build its tables."""
+    stride, half, intervals = grid_size // coarse, coarse // 2 + 1, (coarse + 1) // 2
+    # per column the coarse profile and, per interval (at worst all kept), two indices and a maximum, beside
+    # the most of: the coarse spectrum with the modulus' temporaries, the inverse transform's complex input
+    # and output, or a refinement block's modulated rows with their phases, then its column rows, product,
+    # modulus and a temporary.  Per chunk the tables, the coarse plan and each call's small arrays
+    per_column = 8 * half + 24 * intervals + max(32 * half, 16 * half + 8 * coarse + 8 * dim,
+                                                 _REFINED * (24 * dim + 32 * (stride - 1)))
+    per_chunk = 16 * dim * (stride - 1) + 16 * coarse + 16 * dim + 8 * intervals + _fft_bytes(coarse) + 4096
+    return per_column, per_chunk, 8 * stride + 24 * dim * (stride - 1) + 40 * coarse
 
 
-def _table_half_profile(column: np.ndarray, table: np.ndarray, grid_size: int, n: int) -> np.ndarray:
-    """_half_profile of real rotation columns of D levels, from _cosine_table(D, K) at even K.
+def _coarse_length(dim: int, grid_size: int) -> int | None:
+    """The smallest divisor Kc >= 2 dim - 1 of K at a stride S = K / Kc >= _MIN_STRIDE whose tables, the fine
+    one alone 16 dim (S - 1) bytes, fit _CHUNK_BYTES beside one column, or None: then the map takes the full FFT."""
+    if grid_size < _MIN_BOUNDED_GRID:
+        return None
+    for stride in range(min(grid_size // (2 * dim - 1), protocol._CHUNK_BYTES // (16 * dim) + 1), _MIN_STRIDE - 1, -1):
+        if grid_size % stride == 0 and sum(_bounded_bytes(dim, grid_size, grid_size // stride)[:2]) <= protocol._CHUNK_BYTES:
+            return grid_size // stride
+    return None
 
-    The profile is the cosine polynomial sum_l w_l r_l cos(2 pi l k / K) in
-    the column's autocorrelation r, taken by transforms of a length n of at
-    least 2D - 1, so that no lag wraps onto another.  Since
-    cos(2 pi l (K/2 - k) / K) = (-1)^l cos(2 pi l k / K), the even-l and
-    odd-l sums over k = 0..K//4 give P(k) = even + odd and P(K/2 - k) =
-    even - odd.
+
+def _bounded_tables(dim: int, grid_size: int, coarse: int):
+    """fine[n, t - 1] = e^{-2 pi i n t / K} for t = 1..S-1, modulation[m] = e^{-2 pi i m / Kc}, curvature[l] =
+    (pi l / Kc)^2, and right[j], the coarse point ending interval j, mirrored past K/2."""
+    n, right = np.arange(dim), np.arange(1, (coarse + 1) // 2 + 1)
+    return (np.exp(-2j * np.pi / grid_size * np.multiply.outer(n, np.arange(1, grid_size // coarse))),
+            np.exp(-2j * np.pi / coarse * np.arange(coarse)), (np.pi / coarse * n) ** 2, np.minimum(right, coarse - right))
+
+
+def _refined(flat: np.ndarray, cols: np.ndarray, js: np.ndarray, grid_size: int, tables) -> np.ndarray:
+    """P(jS + t), t = 1..S-1, for each (col, j), -1 past K/2: C = sum_n c_n e^{-2 pi i n j / Kc} e^{-2 pi i n t / K}."""
+    fine, modulation, _, right = tables
+    phase = js[:, None] * np.arange(flat.shape[-1])
+    phase -= len(modulation) * (phase // len(modulation))  # j n mod Kc: a floor division by a scalar ran 2x faster than %
+    rows = modulation[phase]
+    del phase
+    column_rows = flat[cols]
+    rows.real *= column_rows  # each part on its own: a real factor on the complex rows is cast in a buffer
+    rows.imag *= column_rows
+    y = rows @ fine
+    values = y.real**2
+    values += y.imag**2
+    values[js == len(right) - 1, grid_size // 2 - (len(right) - 1) * (grid_size // len(modulation)):] = -1.0
+    return values
+
+
+def _bounded_argmax(column: np.ndarray, grid_size: int, tables) -> np.ndarray:
+    """The cells _peak reads from _half_profile of real columns, from a coarse FFT and a curvature bound.
+
+    P(theta) = sum_l w_l r_l cos(l theta) in the column's autocorrelation r (w_0 = 1, w_l = 2), so between
+    samples h apart P exceeds the larger by at most B h^2 / 8, B = sum_l w_l l^2 |r_l|.  A real FFT of
+    length Kc gives P at every S-th point and, inverted, r with no lag wrapped.  Intervals whose bound
+    reaches the coarse maximum times (1 - _ARGMAX_RTOL), less 1e-13 for rounding, are refined, _REFINED a
+    column per product; the first maximum is at the first coarse point or in the first interval reaching
+    the threshold, whose block, if there are several, is refined again to the same values.
     """
-    dim = column.shape[-1]
-    z = np.fft.rfft(column, n=n, axis=-1)
-    r = np.fft.irfft(z.real**2 + z.imag**2, n=n, axis=-1)
-    n_even = (dim + 1) // 2
-    # the lags are copied contiguous, so both products go to BLAS
-    even = np.ascontiguousarray(r[..., 0:dim:2]) @ table[:n_even]
-    odd = np.ascontiguousarray(r[..., 1:dim:2]) @ table[n_even:]
-    half = np.empty(column.shape[:-1] + (grid_size // 2 + 1,))
-    half[..., grid_size // 2 - grid_size // 4:] = (even - odd)[..., ::-1]
-    half[..., :grid_size // 4 + 1] = even + odd  # when 4 divides K, k = K/4 keeps the sum
-    return half
+    _, modulation, curvature, right = tables
+    dim, coarse = column.shape[-1], len(modulation)
+    stride, flat = grid_size // coarse, column.reshape(-1, dim)
+    z = np.fft.rfft(flat, n=coarse, axis=-1)
+    ends = z.real**2 + z.imag**2  # P(jS) for j = 0..Kc//2
+    del z
+    bound = np.abs(np.fft.irfft(ends, n=coarse, axis=-1)[:, :dim]) @ curvature  # B h^2 / 8, h = 2 pi / Kc
+    v_max = ends.max(axis=-1)
+    cols, js = np.divmod(np.flatnonzero(np.maximum(ends[:, :len(right)], ends[:, right]) + bound[:, None]
+                                        >= v_max[:, None] * (1.0 - _ARGMAX_RTOL - 1e-13)), len(right))
+    block, maxima = _REFINED * len(flat), np.empty(len(js))
+    for lo in range(0, len(js), block):
+        values = _refined(flat, cols[lo:lo + block], js[lo:lo + block], grid_size, tables)
+        maxima[lo:lo + block] = values.max(axis=-1)
+    np.maximum.at(v_max, cols, maxima)
+    threshold = v_max * (1.0 - _ARGMAX_RTOL)
+    hit = ends >= threshold[:, None]
+    idx = np.where(hit.any(axis=-1), stride * hit.argmax(axis=-1), grid_size)
+    before = np.flatnonzero((maxima >= threshold[cols]) & (stride * js < idx[cols]))  # intervals before the coarse hit
+    for lo in range(0, len(js), block):
+        here = before[(before >= lo) & (before < lo + block)]
+        if len(here):
+            if len(js) > block:
+                values = _refined(flat, cols[lo:lo + block], js[lo:lo + block], grid_size, tables)
+            hit = values[here - lo] >= threshold[cols[here], None]
+            np.minimum.at(idx, cols[here], stride * js[here] + 1 + hit.argmax(axis=-1))
+    return np.where(v_max > 0.0, 2.0 * np.pi * idx / grid_size, 0.0).reshape(column.shape[:-1])
 
 
 def _map_route(total: int, grid_size: int):
-    """The map's half profile of rotation columns at total, and its bytes, rotation included, for protocol._beta_chunk.
-
-    The route is settled here once per map: the total and K are checked
-    before the rule reads them, and the table route, taken when _takes_table
-    allows it, gets its lag length from here.  Its table is built at the
-    first call, so a map refused before any row is rotated builds none.
-    """
+    """The map's argmax of rotation columns at total, and its bytes, rotation included, for protocol._beta_chunk;
+    the bounded route builds its tables at its first call, so a map refused before any row is rotated builds none."""
     _check_integer("total", total)
     _check_grid_size(grid_size)
     dim, rotation = total + 1, _rotation_bytes(total)
-    if not _takes_table(dim, grid_size):
+    coarse = _coarse_length(dim, grid_size)
+    if coarse is None:
         per_column, per_chunk = _half_profile_bytes(dim, grid_size)
-        return lambda column: _half_profile(column, grid_size), (rotation + per_column, per_chunk, 0)
-    table = functools.cache(functools.partial(_cosine_table, dim, grid_size))
-    # per column: the spectrum, its squared modulus and the autocorrelation with the inverse
-    # transform's working copy, 32 bytes per lag point, and the even and odd lags; then
-    # the even and odd sums and their difference, the half profile and _peak's mask.
-    # Per chunk: the table, and the plan and scratch of the lag transforms.  Its build
-    # holds the cosine row of K points and, per table column, its index k and one lag's
-    # product and remainder, with 8 bytes to spare (tracemalloc saw 59,248 beyond the
-    # table at dim 101, K = 4096, against the 65,568 counted)
-    n, q1, h1 = _smooth_length(2 * dim - 1), grid_size // 4 + 1, grid_size // 2 + 1
-    return (lambda column: _table_half_profile(column, table(), grid_size, n),
-            (rotation + 32 * n + 8 * dim + 24 * q1 + 9 * h1, _table_bytes(dim, grid_size) + _fft_bytes(n),
-             8 * grid_size + 32 * q1))
+        return lambda column: _peak(_half_profile(column, grid_size), grid_size)[0], (rotation + per_column, per_chunk, 0)
+    tables = functools.cache(functools.partial(_bounded_tables, dim, grid_size, coarse))
+    per_column, per_chunk, build = _bounded_bytes(dim, grid_size, coarse)
+    return lambda column: _bounded_argmax(column, grid_size, tables()), (rotation + per_column, per_chunk, build)
 
 
 def phase_profile(params: ResourceParams, grid_size: int = DEFAULT_PHASE_GRID) -> PhaseProfile:
@@ -187,12 +220,11 @@ def phase_argmax_map(total: int, beta_axis, m_axis, grid_size: int = DEFAULT_PHA
     Cells whose m is incompatible with the total are filled with NaN, as
     in the fidelity sweep.
     """
-    half_profile, reduce_bytes = _map_route(total, grid_size)
-    return _grid(total, beta_axis, m_axis,
-                 lambda factor, n_in, trig: _peak(half_profile(_rotate(factor, n_in, trig)), grid_size)[0],
+    argmax, reduce_bytes = _map_route(total, grid_size)
+    return _grid(total, beta_axis, m_axis, lambda factor, n_in, trig: argmax(_rotate(factor, n_in, trig)),
                  reduce_bytes, "phase-argmax")
 
 
 def check_phase_map_size(total: int, n_beta: int, n_m: int, grid_size: int = DEFAULT_PHASE_GRID) -> None:
     """Raise ValueError if phase_argmax_map over axes of these lengths would exceed MAX_GRID_BYTES."""
-    _beta_chunk(total, n_beta, n_m, _map_route(total, grid_size)[1])
+    _beta_chunk(total, n_beta, n_m, _map_route(total, grid_size)[1], kept=protocol._kept(total))

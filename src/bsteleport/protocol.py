@@ -24,9 +24,8 @@ from .states import ResourceCoeffs, ResourceParams, TargetCoeffs
 # conditional quantities are undefined for outcomes of probability at or below this
 DEFINED_MIN = 1e-15
 # bytes of rotation and reduction work in one chunk of a row's beta samples; the
-# phase map ran ~1.7x slower on its FFT route and ~2x on its table route as one
-# 101-beta chunk than in chunks this size (30 and 35 betas at total 100, K = 4096;
-# 2 cores, one BLAS thread)
+# phase map's full-FFT route ran ~1.7x slower as one 101-beta chunk than in chunks
+# this size (30 betas at total 100, K = 4096; 2 cores, one BLAS thread)
 _CHUNK_BYTES = 21 << 17  # 2.625 MiB
 # bytes _mirror_pairs holds per beta sample at most: the sort's order and sorted copy,
 # and for each beta above pi/2 its mirror angle, a shifted copy and its partner's
@@ -261,23 +260,22 @@ def split_total(total: int, m: float) -> tuple[int, int] | None:
 
 
 def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int, int],
-                n_computed: int | None = None) -> int:
+                n_computed: int | None = None, kept=None) -> int:
     """Beta samples per chunk of a grid row, refusing a grid over MAX_GRID_BYTES before allocating.
 
     reduce_bytes: what a row's reduction holds per beta sample (the chunk's _trig included),
-    once per chunk, and once per grid for what it builds.  The need is the factor unless it is
-    kept (_grid_factor), the output and the mirror's pairing over all n_beta samples, the build
+    once per chunk, and once per grid for what it builds.  The need is the factor unless kept
+    (from _kept) holds it, the output and the mirror's pairing over all n_beta samples, the build
     and a chunk of the n_computed samples computed (_mirror_pairs; by default all).  A chunk
     fills _CHUNK_BYTES or, if less, what the limit leaves, one sample at least, so the axis
     lengths alone decide a refusal: n_computed=0 only refuses, passing no need otherwise.
     """
     _check_integer("total", total)
     per_beta, per_chunk, build = reduce_bytes
-    factor = 0 if _kept(total) is not None else _factor_bytes(total)  # a call counts the factor it builds
+    factor = 0 if kept is not None else _factor_bytes(total)  # a call counts the factor it builds
     fixed = factor + (8 * n_m + _MIRROR_BYTES) * n_beta + per_chunk + build
     # per_chunk counts against _CHUNK_BYTES, as an operand every product reads (the phase map's
-    # cosine table) must stay in cache beside the chunk: fig-3 in 50-beta chunks sized without
-    # it ran ~2x slower than in 35 (2 cores, one BLAS thread); a build, held once, does not
+    # fine table) must stay in cache beside the chunk; a build, held once, does not
     room = min(_CHUNK_BYTES - per_chunk, numerics.MAX_GRID_BYTES - fixed)  # the limit as set at call time
     chunk = max(1, min(n_beta if n_computed is None else n_computed, room // per_beta))
     if n_computed != 0 or fixed + per_beta > numerics.MAX_GRID_BYTES:
@@ -319,19 +317,17 @@ def _kept(total: int):
 def _grid_factor(total: int) -> tuple[np.ndarray, np.ndarray]:
     """numerics._factor(total), kept read-only for the next grid at this total while it takes at most _CHUNK_BYTES."""
     global _kept_factor
-    factor = _kept(total)
-    if factor is None:
-        _kept_factor = None  # emptied before the build, so a call never holds two factors
-        factor = numerics._factor(total)
-        if _factor_bytes(total) <= _CHUNK_BYTES:
-            for part in factor:
-                part.setflags(write=False)
-            _kept_factor = total, factor
+    _kept_factor = None  # emptied before the build, so a call never holds two factors
+    factor = numerics._factor(total)
+    if _factor_bytes(total) <= _CHUNK_BYTES:
+        for part in factor:
+            part.setflags(write=False)
+        _kept_factor = total, factor
     return factor
 
 
 def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, int, int], label: str) -> FidelityGrid:
-    """One value per (m, beta) at fixed total, from one factor of the sector generator (_grid_factor).
+    """One value per (m, beta) at fixed total, from one factor of the sector generator (kept, or _grid_factor).
 
     The beta axis is taken in chunks, each with one _trig of its angles, and
     reduce_row(factor, n_in, trig) gives one value per beta for each compatible
@@ -354,11 +350,12 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
     if np.any(beta_axis < 0.0) or np.any(beta_axis > np.pi):
         raise ValueError("beta axis must lie in [0, pi]")
     n_beta, n_m = len(beta_axis), len(m_axis)
-    _beta_chunk(total, n_beta, n_m, reduce_bytes, 0)  # a refusal, before the pairing is made
+    kept = _kept(total)  # read once, so the need counts the factor the grid then uses
+    _beta_chunk(total, n_beta, n_m, reduce_bytes, 0, kept)  # a refusal, before the pairing is made
     computed, paired, partner = _mirror_pairs(beta_axis)
-    chunk = _beta_chunk(total, n_beta, n_m, reduce_bytes, len(computed))
+    chunk = _beta_chunk(total, n_beta, n_m, reduce_bytes, len(computed), kept)
 
-    factor = _grid_factor(total)
+    factor = kept if kept is not None else _grid_factor(total)
     values = np.full((n_m, n_beta), np.nan)
     rows = []
     for i, m in enumerate(m_axis):
@@ -390,4 +387,4 @@ def fidelity_sweep(target: TargetCoeffs, total: int, beta_axis, m_axis) -> Fidel
 
 def check_sweep_size(target: TargetCoeffs, total: int, n_beta: int, n_m: int) -> None:
     """Raise ValueError if fidelity_sweep over axes of these lengths would exceed MAX_GRID_BYTES."""
-    _beta_chunk(total, n_beta, n_m, _sweep_route(target, total)[1])
+    _beta_chunk(total, n_beta, n_m, _sweep_route(target, total)[1], kept=_kept(total))

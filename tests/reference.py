@@ -6,8 +6,9 @@ explicit factorial sum, the outcome probability and conditional fidelity
 as literal sums over photon numbers, and the phase-difference density as
 a direct Fourier sum at one reading.  The point solve is checked against
 its earlier route: the eigenvector found by bisection for its eigenvalue,
-its sign by a literal loop over the Sturm pivots.  The grid CSV is written
-one "%.17g" call per number.
+its sign by a literal loop over the Sturm pivots.  The phase map's argmax
+is read from the whole half profile, one real FFT of length K.  The grid
+CSV is written one "%.17g" call per number.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from bsteleport.numerics import _I_POW, _check_beta, _doubled, _log_factorials, _offdiagonal
+from bsteleport.phase import _ARGMAX_RTOL
 from bsteleport.protocol import DEFINED_MIN, UndefinedOutcomeError
 from bsteleport.states import ResourceCoeffs, TargetCoeffs
 
@@ -160,6 +162,24 @@ def joint_phase_prob(resource: ResourceCoeffs, phi_minus: float) -> float:
     n = np.arange(resource.total + 1)
     z = complex(np.dot(np.exp(1j * phi_minus * n), _I_POW[n % 4] * resource.coeffs))
     return z.real * z.real + z.imag * z.imag
+
+
+def full_profile_argmax(column: np.ndarray, grid_size: int) -> np.ndarray:
+    """First maximum phase of each real column's profile |sum_n c_n e^{-i n phi}|^2 over phi_k = 2 pi k / K, k = 0..K//2.
+
+    The profile is the power spectrum of the column, folded onto n mod K, at
+    every point of the half grid; the first k within _ARGMAX_RTOL of the
+    maximum wins, and a zero profile reads phi = 0.
+    """
+    n = column.shape[-1]
+    if n > grid_size:
+        column = np.pad(column, [(0, 0)] * (column.ndim - 1) + [(0, -n % grid_size)])
+        column = column.reshape(column.shape[:-1] + (-1, grid_size)).sum(axis=-2)
+    z = np.fft.rfft(column, n=grid_size, axis=-1)
+    values = z.real**2 + z.imag**2
+    v_max = values.max(axis=-1)
+    k = np.argmax(values >= v_max[..., None] * (1.0 - _ARGMAX_RTOL), axis=-1)
+    return np.where(v_max > 0.0, 2.0 * np.pi * k / grid_size, 0.0)
 
 
 def grid_csv_per_cell(beta_axis, m_axis, values) -> bytes:

@@ -13,7 +13,7 @@ import pytest
 from bsteleport import cli, numerics
 from bsteleport.cli import main
 from bsteleport.oracle import DEFAULT_VERIFY_TOL
-from bsteleport.phase import DEFAULT_PHASE_GRID
+from bsteleport.phase import DEFAULT_PHASE_GRID, check_phase_map_size
 from bsteleport.protocol import average_fidelity, classical_baseline
 from bsteleport.states import DEFAULT_TAIL_TOL, ResourceParams, cat_coeffs, resource_coeffs
 
@@ -133,6 +133,8 @@ REFUSALS = [
     # one file named twice, which would hold only the PGM
     (["sweep", "--target", "fock", "--total", "4", "--beta-steps", "2", "--csv", "same.out", "--pgm", "same.out"], 1, 0),
     (["phase-map", "--total", "4", "--beta-steps", "2", "--out-dir", "out", "--csv", "map", "--pgm", "./map"], 1, 0),
+    # no stride of the bounded route fits a chunk at K = 2^36, and the full FFT is refused
+    (["phase-map", "--total", "10", "--phi-grid", "68719476736"], 1, 0),
 ]
 
 
@@ -404,13 +406,16 @@ class TestPhaseMapCommand:
         assert not any(tmp_path.iterdir())
 
     def test_memory_budget(self, capsys, tmp_path):
-        # numpy's FFT keeps 16 bytes per point of plan and scratch beside the 20 a
-        # one-beta map holds, 144 for a prime K: 2^25 holds ~1.2 GiB, 8388617 ~1.3 GiB
-        for grid in (2**40, 2**25, 8388617):
+        # on the full FFT numpy keeps 16 bytes per point of plan and scratch beside the 20 a
+        # one-beta map holds, 144 for a prime K: 2^36 holds ~2.3 TiB, 8388617 ~1.3 GiB
+        for grid in (2**40, 2**36, 8388617):
             assert main(["phase-map", "--total", "2", "--phi-grid", str(grid),
                          "--out-dir", str(tmp_path)]) == 1
             assert "MiB limit" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+        # the bounded route reads K = 2^25 from a coarse transform of 4096 points and a fine
+        # table of 3 x 8191, so that map fits; on the full FFT it would hold ~1.2 GiB
+        check_phase_map_size(2, 101, 3, grid_size=2**25)
 
     def test_long_beta_axis_passes_the_budget(self, capsys, tmp_path, monkeypatch):
         # the budget check passes and the grid call is reached (stubbed, not run)

@@ -27,6 +27,13 @@ FIG_BETAS = np.pi * np.arange(1, 102) / 102
 FIG_MS = np.arange(51.0)
 PRIME_GRID = 262139  # numpy's FFT takes Bluestein's padded transform for this K
 
+def _full_fft_map(*args):
+    """phase_argmax_map on its full-FFT route, whichever route the rule would choose."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phase, "_MIN_BOUNDED_GRID", np.inf)
+        return phase_argmax_map(*args)
+
+
 # each case builds its inputs and returns the measured call, with the largest
 # transform the call takes when that is worth measuring: (numpy.fft function, K)
 CASES = {
@@ -37,13 +44,20 @@ CASES = {
     "fig2-sweep": lambda: (partial(fidelity_sweep, cat_coeffs(3.0, suggest_cutoff(3.0)), 100,
                                    FIG_BETAS, FIG_MS), None),
     "fig3-phase-map": lambda: (partial(phase_argmax_map, 100, FIG_BETAS, FIG_MS), None),
-    # the largest table the map's table route takes at K = 4096, then one level past it
-    "phase-map-largest-table": lambda: (partial(phase_argmax_map, 126, FIG_BETAS, [0.0, 1.0, 2.0]), None),
-    "phase-map-past-the-table": lambda: (partial(phase_argmax_map, 127, FIG_BETAS, [0.5, 1.5, 2.5]), None),
+    "fig3-phase-map-K4095": lambda: (partial(phase_argmax_map, 100, FIG_BETAS, FIG_MS, 4095), None),
+    # flat profiles keep every interval, the bounded route's worst case
+    "phase-map-flat-profiles": lambda: (partial(phase_argmax_map, 100, np.zeros(51), FIG_MS), None),
+    # the largest fine table at Kc = 256 and K = 4096, and past the bounded route: a stride
+    # of 4 at total 400 takes the full FFT
+    "phase-map-largest-table": lambda: (partial(phase_argmax_map, 127, FIG_BETAS, np.arange(64) + 0.5), None),
+    "phase-map-past-the-table": lambda: (partial(phase_argmax_map, 400, FIG_BETAS, [0.0, 1.0, 2.0]), None),
     "fig3-axes-K16-folded": lambda: (partial(phase_argmax_map, 100, FIG_BETAS, FIG_MS, 16), None),
     "beta-axis-1e6": lambda: (partial(phase_argmax_map, 2, np.linspace(0.0, np.pi, 10**6), [0.0], 16), None),
-    "phase-map-K-2pow20": lambda: (partial(phase_argmax_map, 10, [0.5, 1.0, 2.0], [0.0, 1.0], 2**20),
-                                   ("rfft", 2**20)),
+    # the bounded route's huge stride: a fine table of 11 x 8191 points beside a coarse
+    # transform of 128; then the same map on the full FFT
+    "phase-map-K-2pow20": lambda: (partial(phase_argmax_map, 10, [0.5, 1.0, 2.0], [0.0, 1.0], 2**20), None),
+    "phase-map-K-2pow20-full-fft": lambda: (partial(_full_fft_map, 10, [0.5, 1.0, 2.0], [0.0, 1.0], 2**20),
+                                            ("rfft", 2**20)),
     "phase-map-K-prime": lambda: (partial(phase_argmax_map, 10, [0.5, 1.0], [0.0], PRIME_GRID),
                                   ("rfft", PRIME_GRID)),
     "cutoff-4096": lambda: (partial(fidelity_sweep, fock_coeffs(0, 4096), 100, FIG_BETAS[::10], [0.0]), None),
@@ -114,26 +128,32 @@ def test_checked_need_bounds_the_peak(case, monkeypatch):
 
 
 def test_table_cases_sit_on_each_side_of_the_rule():
-    assert phase._takes_table(127, 4096)
-    assert phase._table_bytes(128, 4096) > phase._TABLE_MAX_BYTES >= phase._table_bytes(127, 4096)
-    assert not phase._takes_table(128, 4096)
-    assert phase._takes_table(101, 4096)  # fig-3
+    assert phase._coarse_length(128, 4096) == 256  # the largest column at Kc = 256
+    assert phase._coarse_length(129, 4096) == 512  # one level past it: a stride of 8
+    assert phase._coarse_length(401, 4096) is None  # a stride of 4: the full FFT
+    assert phase._coarse_length(101, 4096) == 256  # fig-3
+    assert phase._coarse_length(101, 4095) == 273
+    assert phase._coarse_length(11, 2**20) == 128  # Kc = 32 and 64 hold a fine table over _CHUNK_BYTES
+    assert phase._coarse_length(11, PRIME_GRID) is None
+    assert phase._coarse_length(11, 512) is None  # below _MIN_BOUNDED_GRID
 
 
 @pytest.mark.parametrize("dim, grid_size", [(101, 4096), (127, 4096), (11, 16384)])
 def test_table_build_count_bounds_its_peak(dim, grid_size):
-    # what building the map's cosine table holds beyond the table, against the build
-    # the map's route counts: fig-3's table, the largest at K = 4096, and a long cosine row
-    assert phase._takes_table(dim, grid_size)
-    build = phase._map_route(dim - 1, grid_size)[1][2]
-    phase._cosine_table(dim, grid_size)
+    # what building the bounded route's tables holds, against what its count charges per
+    # chunk, less the coarse transform's plan, and for the build: fig-3's tables, the
+    # largest column at K = 4096 and a long stride
+    coarse = phase._coarse_length(dim, grid_size)
+    _, per_chunk, build = phase._bounded_bytes(dim, grid_size, coarse)
+    count = per_chunk - numerics._fft_bytes(coarse) + build
+    phase._bounded_tables(dim, grid_size, coarse)
     tracemalloc.start()
     try:
-        table = phase._cosine_table(dim, grid_size)
-        peak = tracemalloc.get_traced_memory()[1] - table.nbytes
+        phase._bounded_tables(dim, grid_size, coarse)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= build <= 2 * peak, (build, peak)
+    assert peak <= count <= 2 * peak, (count, peak)
 
 
 # total, beta samples and target of one sweep reduction: the figure's row, weights

@@ -1,6 +1,7 @@
 """Checks for the phase-difference distribution and its argmax map."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from bsteleport.phase import (
     phase_profile,
 )
 from bsteleport.states import ResourceCoeffs, ResourceParams, _resource, resource_coeffs
-from reference import joint_phase_prob
+from reference import full_profile_argmax, joint_phase_prob
 from routes import rotated_column
 
 
-# shapes (total, K) of test_half_spectrum_cells_match_point_readings that take the table route
-TABLE_SHAPES = {(99, 4096), (100, 4096), (0, 256), (15, 256), (63, 1026), (100, 4094), (0, 258), (126, 4096)}
+# shapes (total, K) of test_half_spectrum_cells_match_point_readings that take the bounded route
+BOUNDED_SHAPES = {(99, 4096), (100, 4096), (126, 4096), (127, 4096), (101, 4095)}
 # the CLI's beta axis: N interior samples pi k / (N + 1)
 CLI_BETAS = np.pi * np.arange(1, 102) / 102
 
@@ -216,19 +217,19 @@ class TestArgmaxMap:
         (37, 16), (200, 128),  # more coefficients than grid points: they fold
         (37, 64), (99, 4096),  # odd totals: half-integer m
         (100, 4096),
-        (0, 256), (0, 257),  # one level, on each route
-        (15, 256), (16, 256),  # K = 16 D, then one level past it
-        (0, 128), (7, 128),  # K below the table's floor
-        (63, 1026), (64, 1026), (100, 4094), (0, 258),  # K = 2 mod 4: no k = K/4 point
-        (126, 4096), (127, 4096),  # the largest table, then one level past it
+        (0, 256), (0, 257),  # one level
+        (15, 256), (16, 256),
+        (0, 128), (7, 128),
+        (63, 1026), (64, 1026), (100, 4094), (0, 258),  # K = 2 mod 4: no k = K/4 point; no stride of 8
+        (126, 4096), (127, 4096),  # the largest columns with Kc = 256
         (101, 4095),
     ])
     def test_half_spectrum_cells_match_point_readings(self, total, grid_size):
-        # the map reads half of the profile of the rotation block, by the FFT
-        # or the table route, the point route the whole complex inverse FFT of
+        # the map reads half of the profile of the rotation block, by the bounded
+        # or the full-FFT route, the point route the whole complex inverse FFT of
         # the resource coefficients; the rows at beta = 0 and pi are flat
         # profiles that must read phi = 0
-        assert phase._takes_table(total + 1, grid_size) == ((total, grid_size) in TABLE_SHAPES)
+        assert (phase._coarse_length(total + 1, grid_size) is not None) == ((total, grid_size) in BOUNDED_SHAPES)
         beta_axis = np.concatenate([[0.0], np.pi * np.arange(1, 8) / 8.0, [np.pi]])
         m_axis = np.arange(-total, total + 1, 2) / 2.0
         grid = phase_argmax_map(total, beta_axis, m_axis, grid_size=grid_size)
@@ -241,39 +242,66 @@ class TestArgmaxMap:
 
     @pytest.mark.parametrize("total, grid_size", [(0, 256), (3, 258), (40, 1024), (100, 4096), (126, 4096)])
     def test_table_half_profile_matches_the_fft(self, total, grid_size):
-        # the table route's cosine polynomial against today's length-K real FFT
-        assert phase._takes_table(total + 1, grid_size)
+        # the bounded route's fine points, from its fine and modulation tables, against the
+        # length-K real FFT, at the smallest coarse length from 2D - 1 whatever the route
+        # rule takes; an odd Kc (43 at K = 258) has a last interval past K/2, read as -1
+        dim = total + 1
+        coarse = next(n for n in range(2 * dim - 1, grid_size) if grid_size % n == 0)
+        stride, intervals = grid_size // coarse, (coarse + 1) // 2
+        tables = phase._bounded_tables(dim, grid_size, coarse)
         betas = np.concatenate([[0.0, 1e-9], np.linspace(0.05, np.pi - 0.05, 9), [np.pi]])
+        cols, js = np.divmod(np.arange(len(betas) * intervals), intervals)
+        k = (stride * np.arange(intervals)[:, None] + np.arange(1, stride)).ravel()
+        inside = k <= grid_size // 2
         factor = numerics._factor(total)
-        table = phase._cosine_table(total + 1, grid_size)
         for col in sorted({0, total // 3, total // 2, total}):
             column = rotated_column(factor, col, betas)
-            fft = numerics._half_profile(column, grid_size)
-            rows = phase._table_half_profile(column, table, grid_size, numerics._smooth_length(2 * total + 1))
-            assert rows.shape == fft.shape == (len(betas), grid_size // 2 + 1)
-            assert np.all(np.abs(rows - fft) <= 1e-13 * fft.max(axis=-1, keepdims=True)), (col, total)
+            fft = phase._half_profile(column, grid_size)
+            rows = phase._refined(column, cols, js, grid_size, tables).reshape(len(betas), -1)
+            assert np.all(rows[:, ~inside] == -1.0) and inside.sum() == grid_size // 2 - grid_size // 2 // stride
+            assert np.all(np.abs(rows[:, inside] - fft[:, k[inside]]) <= 1e-13 * fft.max(axis=-1, keepdims=True)), col
 
     @pytest.mark.parametrize("total", [1, 40, 101])
     @pytest.mark.parametrize("grid_size", [4096, 4095])
     def test_rows_of_both_parities_profile_in_one_stack(self, total, grid_size):
-        # the map's half profile of one stack of rows from inputs of both parities,
-        # on the table route (even K) and the FFT route (odd K), against each row's
-        # point profile of its complex resource
-        assert phase._takes_table(total + 1, grid_size) == (grid_size % 2 == 0)
-        half_profile = phase._map_route(total, grid_size)[0]
+        # the bounded route's argmax over one stack of rows from inputs of both parities,
+        # against each row's whole half profile and its point reading of the complex resource
+        assert phase._coarse_length(total + 1, grid_size) is not None
+        argmax = phase._map_route(total, grid_size)[0]
         factor = numerics._factor(total)
         betas = np.array([0.0, 0.3, math.pi / 2, 2.6, math.pi])
         n_ins = (total // 2, total // 2 + 1)
         stack = np.stack([rotated_column(factor, n_in, betas) for n_in in n_ins])
-        rows = half_profile(stack)
-        assert rows.shape == (2, len(betas), grid_size // 2 + 1)
+        cells = argmax(stack)
+        assert cells.shape == (2, len(betas))
         for i, n_in in enumerate(n_ins):
-            want = phase._profile_values(_resource(stack[i], n_in), grid_size)[..., :grid_size // 2 + 1]
-            assert np.all(np.abs(rows[i] - want) <= 1e-13 * want.max(axis=-1, keepdims=True)), n_in
+            assert np.array_equal(cells[i], full_profile_argmax(stack[i], grid_size)), n_in
+            for k in range(len(betas)):
+                assert cells[i, k] == phase_argmax(ResourceCoeffs(total, _resource(stack[i, k], n_in)), grid_size)[0]
 
-    @pytest.mark.parametrize("total, grid_size", [(100, 4096), (126, 4096), (127, 4096), (100, 4095), (100, 16)])
+    @pytest.mark.parametrize("total", [0, 1, 2, 3, 10, 37, 100, 101, 400])
+    @pytest.mark.parametrize("grid_size", [16, 17, 256, 4095, 4096, 4097, 16384])
+    def test_cells_match_the_whole_profile_bit_for_bit(self, total, grid_size):
+        # every cell against the first maximum of its whole half profile; beta = 0 gives
+        # flat profiles, total 0 a profile tied everywhere, and the CLI-like betas up to
+        # pi/2 peaks whose neighbours the curvature bound must keep: the route without
+        # its B h^2 / 8 term moved cells at totals 37, 100, 101 and 400
+        betas = np.concatenate([[0.0], np.pi * np.arange(1, 52) / 102])
+        n_ins = range(0, total + 1, max(1, total // 50))
+        grid = phase_argmax_map(total, betas, [n_in - total / 2 for n_in in n_ins], grid_size=grid_size)
+        factor = numerics._factor(total)
+        for i, n_in in enumerate(n_ins):
+            want = full_profile_argmax(rotated_column(factor, n_in, betas), grid_size)
+            assert np.array_equal(grid.values[i], want), n_in
+        assert np.all(grid.values[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("total, grid_size", [(100, 4096), (126, 4096), (127, 4096), (100, 4095), (100, 16),
+                                                  (400, 4096), (100, 4093), (4, 2**25)])
     def test_size_check_counts_what_the_map_counts(self, total, grid_size, monkeypatch):
-        # both take one route, so a size check passes exactly the needs the map would pass
+        # both take one route, so a size check passes exactly the needs the map would pass: the
+        # bounded route, or the full FFT at K = 16, at a stride of 4 (total 400) and at a prime K
+        bounded = (total, grid_size) in {(100, 4096), (126, 4096), (127, 4096), (100, 4095), (4, 2**25)}
+        assert (phase._coarse_length(total + 1, grid_size) is not None) == bounded
         needs = []
         monkeypatch.setattr(phase, "_check_budget", lambda need, what: needs.append(need))
         monkeypatch.setattr(protocol, "_check_budget", lambda need, what: needs.append(need))
@@ -297,6 +325,20 @@ class TestArgmaxMap:
         with pytest.raises(ValueError, match="MiB limit"):
             check_phase_map_size(4, 1, 1, grid_size=2**40)
 
+    def test_huge_grid_builds_no_table_before_its_refusal(self):
+        # at K = 2^36 a fine table of 11 x (S - 1) points fits a chunk only at strides whose
+        # coarse transform does not, so the map falls back to the full FFT, which is refused;
+        # a route that built its fine table first asked for 512 GiB here
+        assert phase._coarse_length(11, 2**36) is None
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MiB limit"):
+                phase_argmax_map(10, [0.5], [0.0], 2**36)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     def test_long_beta_axis_is_not_refused(self):
         # a row is worked in chunks of the beta axis, so its length costs only
         # the output grid: 4000 or 10**6 beta samples on the fig-3 grid fit
@@ -312,6 +354,17 @@ class TestArgmaxMap:
         assert protocol._beta_chunk(10, len(beta_axis), 2, (*phase._half_profile_bytes(11, 64), 0)) == 1
         chunked = phase_argmax_map(10, beta_axis, [0.0, 2.0], grid_size=64)
         assert np.array_equal(whole.values, chunked.values)
+
+    def test_bounded_route_chunks_agree_with_one_block(self, monkeypatch):
+        # one beta sample per chunk, and one kept interval per product, on the bounded route
+        beta_axis = np.concatenate([[0.0], np.pi * np.arange(1, 8) / 8.0])
+        whole = phase_argmax_map(10, beta_axis, [0.0, 2.0])
+        monkeypatch.setattr(phase, "_REFINED", 1)
+        per_beta, per_chunk, _ = phase._map_route(10, DEFAULT_PHASE_GRID)[1]
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", per_beta + per_chunk)
+        assert phase._coarse_length(11, DEFAULT_PHASE_GRID) == 32
+        assert protocol._beta_chunk(10, len(beta_axis), 2, phase._map_route(10, DEFAULT_PHASE_GRID)[1]) == 1
+        assert np.array_equal(whole.values, phase_argmax_map(10, beta_axis, [0.0, 2.0]).values)
 
 
 class TestMirror:
@@ -345,7 +398,7 @@ class TestMirror:
     @pytest.mark.parametrize("total", [40, 100, 101])
     @pytest.mark.parametrize("grid_size", [4096, 4095])
     def test_map_cells(self, total, grid_size):
-        assert phase._takes_table(total + 1, grid_size) == (grid_size == 4096)
+        assert phase._coarse_length(total + 1, grid_size) is not None
         m_axis = np.arange(total // 2 + 1) + total % 2 / 2
         low, high = (phase_argmax_map(total, half, m_axis, grid_size=grid_size).values
                      for half in (CLI_BETAS[:51], CLI_BETAS[51:]))

@@ -605,12 +605,12 @@ class TestMirrorPairs:
         beta_axis = np.concatenate([np.linspace(0.1, 1.4, 13), [2.0, 2.9]])
         assert [len(part) for part in protocol._mirror_pairs(beta_axis)] == [15, 0, 0]
         sweep, phase_map = self._grids(beta_axis)
-        map_profile = phase._map_route(self.TOTAL, 64)[0]
+        argmax = phase._map_route(self.TOTAL, 64)[0]
         factor = _factor(self.TOTAL)
         for i, m in enumerate(self.M_AXIS):
             column = rotated_column(factor, self.TOTAL // 2 + int(m), beta_axis)
             assert np.array_equal(sweep[i], _swept(self.TARGET, factor, self.TOTAL // 2 + int(m), beta_axis))
-            assert np.array_equal(phase_map[i], phase._peak(map_profile(column), 64)[0])
+            assert np.array_equal(phase_map[i], argmax(column))
         assert len(self._rotated_betas(monkeypatch, beta_axis)) == 2 * 15
 
     def test_cli_axis_rotates_half_of_its_betas(self, monkeypatch):
@@ -713,6 +713,27 @@ class TestKeptFactor:
         phase_argmax_map(1000, [0.5], [0.0], grid_size=16)
         phase_argmax_map(1000, [0.5], [0.0], grid_size=16)
         assert built == [1000, 1000] and protocol._kept_factor is None
+
+    def test_a_slot_emptied_after_the_check_leaves_the_grid_its_factor(self, built, monkeypatch):
+        # a grid at another total in a second thread may empty the slot between this grid's
+        # budget check and its build: the grid still uses the factor its need left out
+        cold = self._grids(10)
+        kept = protocol._kept_factor
+        pairs = protocol._mirror_pairs
+
+        def emptied(beta_axis):
+            protocol._kept_factor = None
+            return pairs(beta_axis)
+
+        monkeypatch.setattr(protocol, "_mirror_pairs", emptied)
+        ms = [0.0, 1.0, 2.0]
+        grids = (lambda: fidelity_sweep(self.TARGET, 10, self.BETAS, ms).values,
+                 lambda: phase_argmax_map(10, self.BETAS, ms, grid_size=64).values)
+        for grid, values in zip(grids, cold):
+            protocol._kept_factor = kept
+            assert grid().tobytes() == values.tobytes()
+            assert protocol._kept_factor is None
+        assert built == [10]
 
     def test_a_lapack_failure_keeps_nothing(self, built, monkeypatch):
         fidelity_sweep(self.TARGET, 10, self.BETAS, [0.0])
