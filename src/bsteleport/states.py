@@ -96,8 +96,13 @@ def resource_coeffs(params: ResourceParams) -> ResourceCoeffs:
     return ResourceCoeffs(params.total, _resource(column, params.n_in))
 
 
+# ((kind, a), tails) of the last _tails call whose range fits _MAX_AUTO_CUTOFF, its array
+# read-only: suggest_cutoff and then the builder read one computation of a query's tails
+_kept_tails = None
+
+
 def _tails(kind: str, a: float) -> np.ndarray:
-    """Weight beyond each cutoff 0..n_max of the cat or coherent state |a|.
+    """Weight beyond each cutoff 0..n_max of the cat or coherent state |a|, kept while short.
 
     The range n_max = lam + 12 sqrt(lam) + 40 depends only on lam = a^2,
     and the weight beyond it is below 1e-32 at every lam.  Each tail is
@@ -105,6 +110,19 @@ def _tails(kind: str, a: float) -> np.ndarray:
     relative rounding, and the builders and suggest_cutoff read identical
     tails for the same cutoff.
     """
+    global _kept_tails
+    kept = _kept_tails
+    if kept is not None and kept[0] == (kind, a):
+        return kept[1]
+    tails = _summed_tails(kind, a)
+    if len(tails) <= _MAX_AUTO_CUTOFF + 1:
+        tails.setflags(write=False)
+        _kept_tails = (kind, a), tails
+    return tails
+
+
+def _summed_tails(kind: str, a: float) -> np.ndarray:
+    """_tails without the kept slot."""
     lam = a * a
     reach = lam + 12.0 * math.sqrt(lam) + 40.0
     if not reach <= _MAX_TAIL_RANGE:  # NaN and infinite amplitudes too

@@ -185,12 +185,20 @@ class TestResourceCommand:
         assert captured.out == ""
 
     def test_lapack_failure_exits_1(self, capsys, monkeypatch):
-        stein = numerics._STEIN
-        monkeypatch.setattr(numerics, "_STEIN", lambda *args: (stein(*args)[0], 1))
+        gttrs = numerics._GTTRS
+        monkeypatch.setattr(numerics, "_GTTRS", lambda *args: (gttrs(*args)[0], 1))
         assert main(["resource", "--total", "40", "--m", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: LAPACK") and captured.err.endswith("info=1\n")
         assert captured.out == ""
+
+    def test_refused_certificate_exits_1(self, capsys, monkeypatch):
+        # a solve that returns its input leaves every residual at 1
+        monkeypatch.setattr(numerics, "_GTTRS", lambda *args: (args[-1].copy(), 0))
+        assert main(["resource", "--total", "40", "--m", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: inverse iteration at 0.0 left a residual")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_csv_file_output(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

@@ -327,8 +327,8 @@ class TestStableRoute:
                 yield total, col, beta
 
     def test_point_solve_matches_bisection_route(self):
-        # stein at the exact eigenvalue, on stebz's blocks, against the
-        # earlier route that bisects for the eigenvalue first
+        # inverse iteration at the exact eigenvalue, on one block or stebz's, against
+        # the earlier route that bisects for the eigenvalue first
         worst = max(float(np.max(np.abs(_column(*case) - column_by_bisection(*case))))
                     for case in self._solve_cases())
         assert worst < 1e-13
@@ -350,21 +350,41 @@ class TestStableRoute:
         assert [c for c in seen if c[0] % 2 != c[1] % 2] == []
 
     def test_lapack_failures_raise_linalg_error(self, monkeypatch):
-        stebz, stein = numerics._STEBZ, numerics._STEIN
-        monkeypatch.setattr(numerics, "_STEIN", lambda *args: (stein(*args)[0], 1))
-        with pytest.raises(np.linalg.LinAlgError, match="info=1"):
-            _column(40, 20, 1.1)
+        # the solve and the factorization on the one-block route (beta = 1.1), and stebz's
+        # window on a split sector (beta = 1e-300)
+        stebz, gttrf, gttrs = numerics._STEBZ, numerics._GTTRF, numerics._GTTRS
+        with monkeypatch.context() as failing:
+            failing.setattr(numerics, "_GTTRS", lambda *args: (gttrs(*args)[0], 1))
+            with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+                _column(40, 20, 1.1)
+        with monkeypatch.context() as failing:
+            failing.setattr(numerics, "_GTTRF", lambda *args: gttrf(*args)[:-1] + (-2,))
+            with pytest.raises(np.linalg.LinAlgError, match="info=-2"):
+                _column(40, 20, 1.1)
         monkeypatch.setattr(numerics, "_STEBZ", lambda *args: (2,) + stebz(*args)[1:])
         with pytest.raises(np.linalg.LinAlgError, match="2 eigenvalues near 0.0"):
+            _column(40, 20, 1e-300)
+
+    def test_refused_certificate_raises_linalg_error(self, monkeypatch):
+        # a solve that returns its input never grows, so no certificate passes
+        calls = []
+
+        def stalled(*args):
+            calls.append(1)
+            return args[-1].copy(), 0
+
+        monkeypatch.setattr(numerics, "_GTTRS", stalled)
+        with pytest.raises(np.linalg.LinAlgError, match="left a residual of 1.0e[+]00 after 5 solves"):
             _column(40, 20, 1.1)
+        assert len(calls) == numerics._MAX_SOLVES
 
     def test_total_zero_calls_no_lapack(self, monkeypatch):
         # f2py's stebz refuses the empty coupling array of a 1 x 1 sector
         def refuse(*args):
             raise AssertionError("the total-0 point reached LAPACK")
 
-        monkeypatch.setattr(numerics, "_STEBZ", refuse)
-        monkeypatch.setattr(numerics, "_STEIN", refuse)
+        for routine in ("_STEBZ", "_GTTRF", "_GTTRS"):
+            monkeypatch.setattr(numerics, routine, refuse)
         for beta in (0.0, 1e-300, 1.1, math.pi):
             assert np.array_equal(_column(0, 0, beta), [1.0])
         w, v = _factor(0)
@@ -398,6 +418,95 @@ class TestStableRoute:
             wigner_d_direct(1, 0, 0, math.pi + 0.1)
 
 
+EPS = np.finfo(float).eps
+
+
+def _point_matrix(total: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rotated generator's diagonal and couplings, formed as _column forms them."""
+    return (math.cos(beta) * (np.arange(total + 1) - 0.5 * total),
+            math.sin(beta) * numerics._offdiagonal(total))
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("total", [10**4, 10**5])
+    def test_explicit_residual_is_bounded(self, total):
+        # ||(T - lam) v|| against j eps: the certificate holds it to 16 eps (j + |lam|) on T
+        # as stored, and forming T and the product here add a few eps j; measured at most
+        # 0.71 j eps at total 10^4 and 0.84 j eps at 10^5
+        j = total / 2
+        for beta in (1e-6, 1e-3, math.pi / 2 - 1e-3, math.pi / 2, math.pi / 2 + 1e-3,
+                     math.pi - 1e-3, math.pi - 1e-6):
+            d, e = _point_matrix(total, beta)
+            for col in (0, 1, total // 3, total // 2, total - 1, total):
+                v = _column(total, col, beta)
+                r = (d - (col - j)) * v
+                r[:-1] += e * v[1:]
+                r[1:] += e * v[:-1]
+                assert np.linalg.norm(r) <= 2.0 * j * EPS, (total, col, beta)
+
+    @pytest.mark.parametrize("trip", ["perturbed entry", "wrong lambda"])
+    def test_a_matrix_without_the_eigenvalue_trips_the_certificate(self, trip):
+        # a diagonal entry 1e-9 off at the column's peak moves the eigenvalue by ~1e-11, and
+        # lam 1e-9 off leaves a residual of 1e-9: both far above the bound 2.5e-12
+        total, lam = 1000, -200.0
+        d, e = _point_matrix(total, 1.1)
+        v = numerics._eigenvector(d, e, lam, whole=True)
+        if trip == "perturbed entry":
+            d = d + 1e-9 * np.eye(1, total + 1, int(np.argmax(np.abs(v))))[0]
+        else:
+            lam += 1e-9
+        with pytest.raises(np.linalg.LinAlgError, match="left a residual of .* above its bound 2.5e-12"):
+            numerics._eigenvector(d, e, lam, whole=True)
+
+    def test_edge_column_converges_in_two_solves(self, monkeypatch):
+        # the alternating edge column at total 10^5 from the sawtooth start, and from a
+        # smooth ramp, which overlaps it by about 1e-11: two solves leave a residual
+        # of about 2e-7 there, which the certificate refuses, and a third passes
+        solves = []
+        gttrs = numerics._GTTRS
+
+        def counted(*args):
+            solves.append(1)
+            return gttrs(*args)
+
+        monkeypatch.setattr(numerics, "_GTTRS", counted)
+        v = _column(100000, 0, 0.3)
+        assert len(solves) == 2
+        solves.clear()
+        monkeypatch.setattr(numerics, "_start", lambda n: np.arange(1.0, n + 1))
+        assert np.max(np.abs(_column(100000, 0, 0.3) - v)) < 1e-13
+        assert len(solves) > 2
+
+    @pytest.mark.parametrize("total", [2, 100, 4000])
+    def test_one_block_only_where_stebz_marks_no_split(self, total, monkeypatch):
+        # beta from a quarter to four times the closed-form test's edge, eps sqrt(2 total),
+        # from 0 and from pi: where _column takes one block, stebz over the whole spectrum
+        # marks no split, and every column matches the bisection route on both sides
+        picks = []
+        eigenvector = numerics._eigenvector
+
+        def spy(d, e, lam, whole=False):
+            picks.append(whole)
+            return eigenvector(d, e, lam, whole)
+
+        monkeypatch.setattr(numerics, "_eigenvector", spy)
+        edge = EPS * math.sqrt(2.0 * total)
+        betas = [x for f in np.geomspace(0.25, 4.0, 17) for x in (f * edge, math.pi - f * edge)]
+        cols = sorted({0, total // 3, total // 2, total})
+        seen = set()
+        for beta in betas:
+            d, e = _point_matrix(total, beta)
+            for col in cols:
+                picks.clear()
+                got = _column(total, col, beta)
+                assert np.max(np.abs(got - column_by_bisection(total, col, beta))) < 1e-13, (col, beta)
+            seen.add(picks[0])
+            if picks[0]:
+                m, _, _, isplit, info = numerics._STEBZ(d, e, 1, -total, total, 0, 0, 1e300, "B")
+                assert info == 0 and m == total + 1 and isplit[0] == total + 1, beta
+        assert seen == {False, True}
+
+
 # totals whose every column the half factor rotates as the full stevd eigensystem does, and
 # totals where six picked columns do; measured at most 1.25e-14 and 5.7e-14
 EVERY_COLUMN_TOTALS = (0, 1, 2, 3, 37, 100, 101)
@@ -427,7 +536,7 @@ class TestGridFactor:
     @pytest.mark.parametrize("total", [1, 2, 37, 100, 101, 1000, 1001, 4000])
     def test_generator_is_one_block(self, total):
         # stebz splits where e_k^2 <= eps^2 |d_k d_{k+1}|; G's diagonal is zero, so
-        # it never does, and the factor hands stein the one block stebz would find;
+        # it never does, and the factor solves the one block stebz would find;
         # a window past the whole spectrum at a huge tolerance splits without bisecting
         d, e = np.zeros(total + 1), numerics._offdiagonal(total)
         m, _, iblock, isplit, info = numerics._STEBZ(d, e, 1, -total, total, 0, 0, 1e300, "B")

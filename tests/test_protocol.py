@@ -737,9 +737,9 @@ class TestKeptFactor:
 
     def test_a_lapack_failure_keeps_nothing(self, built, monkeypatch):
         fidelity_sweep(self.TARGET, 10, self.BETAS, [0.0])
-        stein = numerics._STEIN
+        gttrs = numerics._GTTRS
         with monkeypatch.context() as failing:
-            failing.setattr(numerics, "_STEIN", lambda *args: (stein(*args)[0], 1))
+            failing.setattr(numerics, "_GTTRS", lambda *args: (gttrs(*args)[0], 1))
             with pytest.raises(np.linalg.LinAlgError, match="info=1"):
                 phase_argmax_map(12, self.BETAS, [0.0], grid_size=64)
             assert protocol._kept_factor is None

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from bsteleport import numerics
+from bsteleport import numerics, states
 from bsteleport.states import (
     _MAX_TAIL_RANGE,
     ResourceParams,
@@ -314,3 +314,38 @@ class TestSuggestCutoff:
         # zero is a valid tolerance: the tail is exactly zero at the end of the weight range
         for kind, builder in (("cat", cat_coeffs), ("coherent", coherent_coeffs)):
             builder(1.0, suggest_cutoff(1.0, kind, 0.0), tail_tol=0.0)
+
+
+class TestKeptTails:
+    def test_a_query_sums_its_tails_once(self, monkeypatch):
+        # suggest_cutoff and then the builder read one summation, kept read-only; the
+        # targets are those built with the slot emptied before every call
+        summed = []
+        fresh_tails = states._summed_tails
+
+        def spy(kind, a):
+            summed.append((kind, a))
+            return fresh_tails(kind, a)
+
+        queries = [(kind, builder, a) for kind, builder in (("cat", cat_coeffs), ("coherent", coherent_coeffs))
+                   for a in (2.5, 3.0)]
+        fresh = []
+        for kind, builder, a in queries:
+            monkeypatch.setattr(states, "_kept_tails", None)
+            cutoff = suggest_cutoff(a, kind)
+            monkeypatch.setattr(states, "_kept_tails", None)
+            fresh.append(builder(a, cutoff).coeffs.tobytes())
+        monkeypatch.setattr(states, "_summed_tails", spy)
+        for (kind, builder, a), want in zip(queries, fresh):
+            assert builder(a, suggest_cutoff(a, kind)).coeffs.tobytes() == want
+        assert summed == [(kind, a) for kind, _, a in queries]
+        key, kept = states._kept_tails
+        assert key == ("coherent", 3.0) and not kept.flags.writeable
+        assert kept.tobytes() == fresh_tails("coherent", 3.0).tobytes()
+
+    def test_only_a_range_within_the_automatic_cutoff_is_kept(self, monkeypatch):
+        # alpha = 64 sums 4904 tails, past the 4097 that suggest_cutoff reads
+        monkeypatch.setattr(states, "_kept_tails", None)
+        suggest_cutoff(3.0)
+        cat_coeffs(64.0, 4600)
+        assert states._kept_tails[0] == ("cat", 3.0)
