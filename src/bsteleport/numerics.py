@@ -122,13 +122,13 @@ def _check_budget(need: int, what: str) -> None:
 
 
 def _factor_bytes(two_j: int) -> int:
-    """Bytes _factor holds: two_j // 2 + 1 eigenvectors of two_j + 1 doubles, and 32 more for the solves.
+    """Bytes _factor holds: two_j // 2 + 1 eigenvectors of two_j + 1 doubles, and 12 more for the solves.
 
-    tracemalloc saw the solves hold at most 11 doubles per level beside the
-    eigenvectors (the matrix, its LU, the start and one iterate) at totals 100
-    to 4000; the 32 keep the limits that the budget check draws from this count.
+    tracemalloc saw the solves hold 11.97 doubles per level beside the
+    eigenvectors (the matrix, its LU, the start and one iterate) at total 100,
+    falling to 10.05 at total 4000.
     """
-    return 8 * (two_j + 1) * (two_j // 2 + 33)
+    return 8 * (two_j + 1) * (two_j // 2 + 13)
 
 
 def _rotation_bytes(two_j: int) -> int:

@@ -27,13 +27,12 @@ DEFINED_MIN = 1e-15
 # phase map's full-FFT route ran ~1.7x slower as one 101-beta chunk than in chunks
 # this size (30 betas at total 100, K = 4096; 2 cores, one BLAS thread)
 _CHUNK_BYTES = 21 << 17  # 2.625 MiB
-# bytes _mirror_pairs holds per beta sample at most: the sort's order and sorted copy,
-# and for each beta above pi/2 its mirror angle, a shifted copy and its partner's
-# position (tracemalloc saw 29.5 with half the axis above pi/2, 40 with all of it);
-# what the grid keeps of it, and each row's copy, take at most 24
-_MIRROR_BYTES = 40
-# a beta above pi/2 is computed at an axis entry this close to pi - beta: on the CLI
-# axes pi k / (N + 1), pi - beta_k is beta_{N+1-k} to within spacing(pi)
+# bytes _mirror_pairs holds per beta sample at most: two float temporaries of the mirror
+# gap (tracemalloc saw 16.0 at 10^6 betas); what the grid keeps of it, and each row's
+# copy, take at most 16
+_MIRROR_BYTES = 16
+# the most a beta above pi/2 and the entry at its place on the reversed axis may miss being
+# mirrors: on the CLI axes pi k / (N + 1), pi - beta_k is beta_{N+1-k} to within spacing(pi)
 _MIRROR_TOL = 2 * np.spacing(np.pi)
 _KERNEL_BLOCK = 128  # rows of A's band, and modes, per block of the sweep's kernel build
 
@@ -286,24 +285,18 @@ def _beta_chunk(total: int, n_beta: int, n_m: int, reduce_bytes: tuple[int, int,
 def _mirror_pairs(beta_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(computed, paired, partner): indices of the betas a grid computes, in axis order, and of each other beta and its partner.
 
-    A beta above pi/2 is paired with an axis entry beta' <= pi/2 where
-    |(pi - beta) - beta'| <= _MIRROR_TOL; pi - beta is exact there (Sterbenz).
+    Entry i of n, above pi/2, is paired with entry n - 1 - i, its place on the
+    reversed axis, when that is at most pi/2 and within _MIRROR_TOL of pi - beta_i;
+    pi - beta_i is exact there (Sterbenz).  An axis that is its own reflection,
+    as the CLI's, pairs every mirror; any other beta is computed.
     """
-    order = np.argsort(beta_axis, kind="stable")
-    ascending = beta_axis[order]
-    n_low = np.searchsorted(ascending, np.pi / 2, "right")
-    mirror = np.pi - ascending[n_low:]
-    pos = np.searchsorted(ascending, mirror - _MIRROR_TOL)  # the first beta not below the tolerance
-    mirror -= ascending[pos]  # a partner lies within the tolerance above, and below pi/2
-    found = (pos < n_low) & (mirror >= -_MIRROR_TOL)
-    del ascending, mirror  # freed before the index arrays are built, as _MIRROR_BYTES counts
-    paired = order[n_low:][found]
-    computed = np.ones(len(beta_axis), bool)
-    computed[paired] = False
-    return np.flatnonzero(computed), paired, order[pos[found]]
+    mirror = beta_axis[::-1]
+    found = (np.abs((np.pi - beta_axis) - mirror) <= _MIRROR_TOL) & (beta_axis > np.pi / 2) & (mirror <= np.pi / 2)
+    paired = np.flatnonzero(found)
+    return np.flatnonzero(~found), paired, len(beta_axis) - 1 - paired
 
 
-# (total, factor) of the last grid whose factor takes at most _CHUNK_BYTES (totals up to 797),
+# (total, factor) of the last grid whose factor takes at most _CHUNK_BYTES (totals up to 816),
 # its arrays read-only: the next sweep or map at that total builds none (_grid_factor)
 _kept_factor = None
 
@@ -338,8 +331,8 @@ def _grid(total: int, beta_axis, m_axis, reduce_row, reduce_bytes: tuple[int, in
     reflection d^j_{m'm}(pi - beta) = (-1)^{j+m'} d^j_{m',-m}(beta) reverses
     the rotation column, and both products keep it (TestMirror in
     tests/test_phase.py and tests/test_protocol.py).  So a beta above pi/2
-    whose mirror is on the axis (_mirror_pairs) is not reduced: its cells are
-    copied from its partner's.
+    whose mirror is its place on the reversed axis (_mirror_pairs) is not
+    reduced: its cells are copied from its partner's.
     """
     beta_axis = np.asarray(beta_axis, dtype=float)
     m_axis = np.asarray(m_axis, dtype=float)

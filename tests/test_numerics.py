@@ -569,6 +569,6 @@ class TestMemoryBudget:
                 check()
 
     def test_refused_need_reads_above_the_limit(self):
-        # total 16352, the first refused, needs 1073934216 bytes, 1024.18 MiB: rounded up, not to the limit
+        # total 16372, the first refused, needs 1073937816 bytes, 1024.19 MiB: rounded up, not to the limit
         with pytest.raises(ValueError, match="about 1025 MiB, above the 1024 MiB limit"):
-            _factor(16352)
+            _factor(16372)

@@ -34,7 +34,7 @@ from bsteleport.states import (
     suggest_cutoff,
 )
 from bsteleport.states import _resource
-from reference import fidelity_given_q_double_sum, number_sum_prob_literal
+from reference import fidelity_given_q_double_sum, full_profile_argmax, number_sum_prob_literal
 from routes import rotated_column
 
 BETA_GRID = (0.1, 0.5, math.pi / 2, 2.5, 3.0)
@@ -414,13 +414,13 @@ class TestFidelitySweep:
         # the factor alone would need 8 TB at this total; nothing is allocated
         with pytest.raises(ValueError, match="above the 1024 MiB limit"):
             fidelity_sweep(fock_coeffs(0, 0), 10**6, [0.5], [0.0])
-        # the budget counts beta samples and m rows too: 1216 bytes for the
-        # total-2 grid of one beta by one m, 1336 for three betas by two in
-        # chunks of one beta, each with the 816-byte factor it builds
+        # the budget counts beta samples and m rows too: 712 bytes for the
+        # total-2 grid of one beta by one m, 784 for three betas by two in
+        # chunks of one beta, each with the 336-byte factor it builds
         needs = []
         check = protocol._check_budget
         monkeypatch.setattr(protocol, "_check_budget", lambda need, what: (needs.append(need), check(need, what)))
-        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 1304)
+        monkeypatch.setattr(numerics, "MAX_GRID_BYTES", 752)
         monkeypatch.setattr(protocol, "_kept_factor", None)
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         monkeypatch.setattr(protocol, "_kept_factor", None)
@@ -429,11 +429,11 @@ class TestFidelitySweep:
         monkeypatch.setattr(protocol, "_kept_factor", None)
         with pytest.raises(ValueError, match="a grid of 3 beta samples by 2 m rows"):
             protocol.check_sweep_size(fock_coeffs(0, 0), 2, 3, 2)
-        assert needs == [1216, 1336, 1336]
+        assert needs == [712, 784, 784]
         # after a grid at total 2 the factor is kept, and the same grid builds none
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5], [0.0])
-        assert needs[-2:] == [1216, 1216 - 816] and numerics._factor_bytes(2) == 816
+        assert needs[-2:] == [712, 712 - 336] and numerics._factor_bytes(2) == 336
         fidelity_sweep(fock_coeffs(0, 0), 2, [0.5, 1.0, 1.5], [0.0, 1.0])  # refused above, fits now
 
     def test_beta_chunks_agree_with_one_block(self, monkeypatch):
@@ -599,6 +599,16 @@ class TestMirrorPairs:
         self._grids(beta_axis)
         return seen
 
+    def _check_computed(self, grids, beta_axis, cols):
+        # the grids' cells at cols against each row at those betas: the sweep's reduction
+        # within 1e-14 and the whole profile's first maximum bit for bit
+        factor = _factor(self.TOTAL)
+        for i, m in enumerate(self.M_AXIS):
+            n_in = self.TOTAL // 2 + int(m)
+            assert np.max(np.abs(grids[0][i, cols] - _swept(self.TARGET, factor, n_in, beta_axis[cols]))) <= 1e-14
+            column = rotated_column(factor, n_in, beta_axis[cols])
+            assert np.array_equal(grids[1][i, cols], full_profile_argmax(column, 64))
+
     def test_axis_without_pairs_rotates_every_beta(self, monkeypatch):
         # no beta above pi/2 has its mirror on this axis, so each cell is the
         # row's reduction at its own beta, bit for bit
@@ -644,17 +654,29 @@ class TestMirrorPairs:
         assert self._rotated_betas(monkeypatch, [math.pi, 0.0]) == [0.0, 0.0]
 
     def test_duplicated_and_unsorted_betas(self, monkeypatch):
+        # no entry above pi/2 has its mirror at its own place on the reversed axis, so all 8
+        # betas are computed: each cell is the grid's at its own beta
         beta_axis = np.array([2.5, 0.3, math.pi - 0.3, math.pi - 2.5, 0.3, 2.5, math.pi / 2, math.pi - 0.3])
-        rotated, paired, partner = protocol._mirror_pairs(beta_axis)
-        assert rotated.tolist() == [1, 3, 4, 6] and sorted(paired.tolist()) == [0, 2, 5, 7]
-        assert np.all(np.abs((math.pi - beta_axis[paired]) - beta_axis[partner]) <= 2 * np.spacing(np.pi))
+        assert [len(part) for part in protocol._mirror_pairs(beta_axis)] == [8, 0, 0]
+        self._check_computed(self._grids(beta_axis), beta_axis, np.arange(8))
+        assert len(self._rotated_betas(monkeypatch, beta_axis)) == 2 * 8
+
+    @pytest.mark.parametrize("beta_axis, partners", [
+        ([2.5, 0.3, math.pi - 0.3, math.pi - 2.5], {0: 3, 2: 1}),
+        (CLI_BETAS[::-1], {i: 100 - i for i in range(50)}),
+    ], ids=["reflective-unsorted", "cli-descending"])
+    def test_reflective_axes_pair_by_position(self, beta_axis, partners, monkeypatch):
+        # entry i above pi/2 takes the cells of entry n - 1 - i, in whatever order the axis runs;
+        # the computed betas are the grid's at their own angles
+        beta_axis = np.array(beta_axis)
+        computed, paired, partner = protocol._mirror_pairs(beta_axis)
+        assert dict(zip(paired.tolist(), partner.tolist())) == partners
+        assert computed.tolist() == sorted(set(range(len(beta_axis))) - set(partners))
         sweep, phase_map = self._grids(beta_axis)
-        for k, beta in enumerate(beta_axis):
-            # each cell against its beta on an axis of its own, computed where it is below pi/2
-            alone = self._grids([min(beta, math.pi - beta)])
-            assert np.max(np.abs(sweep[:, k] - alone[0][:, 0])) <= 1e-14
-            assert np.array_equal(phase_map[:, k], alone[1][:, 0])
-        assert len(self._rotated_betas(monkeypatch, beta_axis)) == 2 * 4
+        self._check_computed((sweep, phase_map), beta_axis, computed)
+        for grid in (sweep, phase_map):
+            assert np.array_equal(grid[:, paired], grid[:, partner])
+        assert self._rotated_betas(monkeypatch, beta_axis) == 2 * list(beta_axis[computed])
 
 
 class TestKeptFactor:
@@ -708,8 +730,8 @@ class TestKeptFactor:
                 assert a.tobytes() == b.tobytes()
 
     def test_only_a_factor_within_the_chunk_bytes_is_kept(self, built):
-        assert numerics._factor_bytes(797) <= protocol._CHUNK_BYTES < numerics._factor_bytes(798)
-        assert numerics._factor_bytes(1000) == 4_268_264
+        assert numerics._factor_bytes(816) <= protocol._CHUNK_BYTES < numerics._factor_bytes(817)
+        assert numerics._factor_bytes(1000) == 4_108_104
         phase_argmax_map(1000, [0.5], [0.0], grid_size=16)
         phase_argmax_map(1000, [0.5], [0.0], grid_size=16)
         assert built == [1000, 1000] and protocol._kept_factor is None

@@ -1,11 +1,14 @@
 """The README's example outputs and stated size limits against what the library does now."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import bsteleport
 from bsteleport import numerics, protocol
 from bsteleport.cli import OUT_DIR_ENV, main
 from bsteleport.states import cat_coeffs, suggest_cutoff
@@ -72,3 +75,14 @@ def test_stated_limit_is_the_largest_total_accepted(phrase, route, monkeypatch):
         route(stated)
     with pytest.raises(ValueError, match="MiB limit"):
         route(stated + 1)
+
+
+def test_kept_state_names_every_kept_slot():
+    # "Library use" lists what a process keeps between calls: each module-level _kept_* slot
+    # of the package (the grid factor, the target tails, the oracle's sectors) by name
+    kept = re.search(r"A process keeps (.*?)Nothing else is kept", README.read_text(), flags=re.S).group(1)
+    slots = [f"{info.name}.{name}" for info in pkgutil.iter_modules(bsteleport.__path__)
+             for name in vars(importlib.import_module(f"bsteleport.{info.name}")) if name.startswith("_kept_")]
+    assert len(slots) >= 3
+    for slot in slots:
+        assert f"`{slot}`" in kept, slot
